@@ -14,7 +14,7 @@ test:
 
 # Mirrors the CI lint job; requires ruff (pip install ruff).
 lint:
-	ruff check src tests benchmarks examples
+	ruff check src tests benchmarks examples bench
 
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_pr3_telemetry.py

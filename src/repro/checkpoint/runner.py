@@ -292,12 +292,15 @@ class ResumedRun:
     replayed: list = field(default_factory=list)
 
     def checkpointer(self, **overrides) -> Checkpointer:
-        """A fresh checkpointer over the same directory, same config."""
-        cfg = CheckpointConfig(
-            directory=str(self.archive.path.parent),
-            **overrides,
-        )
-        return Checkpointer(cfg)
+        """A fresh checkpointer over the same directory, same config:
+        unless *overrides* name a ``config``, its manifests carry the
+        archive's config hash forward, so a later crash resumes under
+        the same ``expect_config`` as the first."""
+        directory = str(self.archive.path.parent)
+        checkpointer = Checkpointer(CheckpointConfig(directory, **overrides))
+        if "config" not in overrides:
+            checkpointer.cfg_hash = self.archive.manifest["config_hash"]
+        return checkpointer
 
 
 def resume(

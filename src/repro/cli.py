@@ -117,7 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--young-mb", type=int, default=1024, help="maximum Young generation in MiB"
     )
     migrate.add_argument(
-        "--json", action="store_true", help="emit the migration report as JSON"
+        "--json", action="store_true",
+        help="emit the run's payload as JSON, always with a 'final_digest'",
+    )
+    migrate.add_argument(
+        "--warmup-s", type=float, default=None, metavar="SECONDS",
+        help="warm-up (default: migrate 20, or 5 supervised; ctl submit 6)",
+    )
+    migrate.add_argument(
+        "--cooldown-s", type=float, default=None, metavar="SECONDS",
+        help="cool-down of a plain run (default: migrate 10; ctl submit 3)",
     )
     migrate.add_argument(
         "--audit",
@@ -190,15 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             "writes past the budget are deferred to the next cadence "
             "instant. 0 disables the throttle and honours the cadence "
             "exactly (default: %(default)s)"
-        ),
-    )
-    checkpoint.add_argument(
-        "--digest",
-        action="store_true",
-        help=(
-            "add a 'final_digest' field to --json output: sha256 over "
-            "the final page versions, analyzer samples and report "
-            "(equal digests == bit-identical runs)"
         ),
     )
     telemetry = parser.add_argument_group(
@@ -313,20 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     service.add_argument(
-        "--warmup-s",
-        type=float,
-        default=6.0,
-        metavar="SECONDS",
-        help="ctl submit: session warm-up (default: %(default)s)",
-    )
-    service.add_argument(
-        "--cooldown-s",
-        type=float,
-        default=3.0,
-        metavar="SECONDS",
-        help="ctl submit: session cool-down (default: %(default)s)",
-    )
-    service.add_argument(
         "--session-name",
         default="",
         metavar="NAME",
@@ -354,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="doctor: omit the key-series sparkline charts",
     )
     return parser
-
-
-def _telemetry_requested(args: argparse.Namespace) -> bool:
-    return bool(args.trace_out or args.metrics_out or args.telemetry_out)
 
 
 def _make_sink(args: argparse.Namespace):
@@ -401,34 +383,6 @@ def _write_telemetry_outputs(
         print(f"wrote {n} telemetry records: {args.telemetry_out}", file=sys.stderr)
 
 
-def _attribute_reports(reports, migrator=None) -> "tuple[list[dict], list[str]]":
-    """Ledgers plus every conservation violation for one run's reports.
-
-    When the migrator is at hand its link meter is reconciled too; the
-    CLI owns the link for the whole run, so the meter's category totals
-    must match the summed report ledgers exactly.
-    """
-    from repro.telemetry.attribution import attribute_report, audit_meter
-
-    ledgers = []
-    violations: list[str] = []
-    for report in reports:
-        if report is None:
-            continue
-        led = attribute_report(report)
-        ledgers.append(led.to_dict())
-        violations.extend(
-            f"attempt {led.attempt}: {v}" for v in led.violations
-        )
-    link = getattr(migrator, "link", None)
-    if link is not None:
-        violations.extend(
-            f"meter: {v}"
-            for v in audit_meter(link.meter, [r for r in reports if r is not None])
-        )
-    return ledgers, violations
-
-
 def _audit_verdict(args: argparse.Namespace, violations: list[str]) -> int | None:
     """In ``--audit`` mode a conservation violation is fatal (exit 3)."""
     if not args.audit:
@@ -442,207 +396,112 @@ def _audit_verdict(args: argparse.Namespace, violations: list[str]) -> int | Non
     return None
 
 
-def _final_digest(vm, report) -> str:
-    """sha256 over page versions + analyzer samples + report JSON.
-
-    Equal digests mean the two runs ended in bit-identical simulated
-    state — the chaos harness compares a crashed-and-resumed run to an
-    uninterrupted one this way across a process boundary.  The service
-    layer compares multiplexed sessions to standalone runs with the
-    same function.
-    """
-    from repro.service.session import run_digest
-
-    return run_digest(vm, report)
-
-
-def _checkpointer(args: argparse.Namespace, config: dict):
-    if not args.checkpoint_dir:
-        return None
-    from repro.checkpoint import CheckpointConfig, Checkpointer
-
+def _max_overhead(args: argparse.Namespace) -> float | None:
+    """--checkpoint-budget as a fraction; 0 disables the throttle."""
     budget = args.checkpoint_budget
-    return Checkpointer(
-        CheckpointConfig(
-            directory=args.checkpoint_dir,
-            every_s=args.checkpoint_every,
-            config=config,
-            max_overhead=None if budget <= 0 else budget / 100.0,
+    return None if budget <= 0 else budget / 100.0
+
+
+#: ``repro migrate``'s warm-up when --warmup-s is not given, keyed by
+#: --supervise: the library drivers' own defaults (MigrationExperiment
+#: 20 s, supervised_migrate 5 s)
+_MIGRATE_WARMUP_S = {False: 20.0, True: 5.0}
+
+
+def _spec(args: argparse.Namespace):
+    """The run spec the migrate flags describe, for ``migrate``/``trace``
+    and ``ctl submit`` alike.  Unset --warmup-s/--cooldown-s keep each
+    command's default: the library drivers' for ``migrate``, the
+    spec's own for ``ctl submit``."""
+    from repro.service.session import SessionConfig
+
+    supervise = args.supervise or bool(args.wan)
+    fields = {
+        "workload": args.workload,
+        "engine": args.engine,
+        "mem_mb": args.mem_mb,
+        "young_mb": args.young_mb,
+        "kernel": args.kernel,
+        "seed": args.seed,
+        "supervise": supervise,
+        "wan": args.wan,
+        "max_attempts": args.max_attempts,
+        "rescue": not args.no_rescue,
+    }
+    if args.experiment == "ctl":
+        fields["telemetry"] = not args.no_session_telemetry
+        fields["name"] = args.session_name
+    else:
+        fields["telemetry"] = bool(
+            args.trace_out or args.metrics_out or args.telemetry_out
+            or args.experiment == "trace"
         )
-    )
+        fields["warmup_s"] = _MIGRATE_WARMUP_S[supervise]
+        fields["cooldown_s"] = 10.0
+    for name in ("warmup_s", "cooldown_s"):
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    return SessionConfig(**fields)
 
 
-def _print_supervised(args: argparse.Namespace, result, vm, sink=None) -> int:
-    ledgers, violations = _attribute_reports(
-        [rec.report for rec in result.attempts], migrator=result.migrator
-    )
-    _write_telemetry_outputs(args, vm.probe, attributions=ledgers, sink=sink)
-    if args.experiment == "trace" and vm.probe.enabled:
-        print(vm.probe.tracer.phase_table())
+def _print_run(args: argparse.Namespace, driver, sink=None) -> int:
+    """Print a finished run — ``--json`` prints its payload — and
+    return the exit code: 0 iff the migration succeeded and verified."""
+    from repro.service.session import run_payload
+
+    payload = run_payload(driver)
+    ledgers = payload["attribution"]
+    probe = driver.vm.probe
+    _write_telemetry_outputs(args, probe, attributions=ledgers, sink=sink)
+    if args.experiment == "trace" and probe.enabled:
+        print(probe.tracer.phase_table())
+    report = driver.result.report
     if args.json:
-        payload = {
-            "ok": result.ok,
-            "engine": result.engine,
-            "n_attempts": result.n_attempts,
-            "engines_tried": result.degradations,
-            "attempts": [
-                {
-                    "attempt": rec.attempt,
-                    "engine": rec.engine,
-                    "aborted": rec.aborted,
-                    "reason": rec.reason,
-                    "waited_before_s": rec.waited_before_s,
-                }
-                for rec in result.attempts
-            ],
-            "report": result.report.to_dict() if result.report else None,
-            "rescues": list(result.rescues),
-            "attribution": ledgers,
-        }
-        if args.digest:
-            payload["final_digest"] = _final_digest(vm, result.report)
         print(json.dumps(payload, indent=2))
     else:
-        print(result.summary())
-        if result.report is not None:
-            print(result.report.summary())
+        summaries = (driver.result.summary(), report and report.summary())
+        print("\n".join(text for text in summaries if text))
         if args.audit and ledgers:
             from repro.viz import attribution_waterfall
 
             print(attribution_waterfall(ledgers[-1]))
-    verdict = _audit_verdict(args, violations)
+    verdict = _audit_verdict(args, payload["conservation_violations"])
     if verdict is not None:
         return verdict
-    return 0 if result.ok and result.report and result.report.verified else 1
-
-
-def _run_supervised(args: argparse.Namespace) -> int:
-    from repro.core import supervised_migrate
-    from repro.units import MiB
-
-    engine = "javmm" if args.engine == "auto" else args.engine
-    telemetry = _telemetry_requested(args) or args.experiment == "trace"
-    checkpoint = None
-    if args.checkpoint_dir:
-        from repro.checkpoint import CheckpointConfig
-
-        checkpoint = CheckpointConfig(
-            directory=args.checkpoint_dir,
-            every_s=args.checkpoint_every,
-            max_overhead=(
-                None
-                if args.checkpoint_budget <= 0
-                else args.checkpoint_budget / 100.0
-            ),
-        )
-    extra: dict = {}
-    if args.wan:
-        from repro.net import wan_link
-
-        extra["link"] = wan_link(args.wan, seed=args.seed)
-    if args.no_rescue:
-        extra["rescue"] = False
-        extra["scale_timeouts"] = False
-    sink = _make_sink(args)
-    result, vm = supervised_migrate(
-        workload=args.workload,
-        engine_name=engine,
-        seed=args.seed,
-        vm_kwargs={
-            "mem_bytes": MiB(args.mem_mb),
-            "max_young_bytes": MiB(args.young_mb),
-        },
-        max_attempts=args.max_attempts,
-        telemetry=telemetry,
-        checkpoint=checkpoint,
-        telemetry_sink=sink,
-        **extra,
-    )
-    return _print_supervised(args, result, vm, sink=sink)
-
-
-def _print_migrate(args: argparse.Namespace, result, vm, migrator=None,
-                   sink=None) -> int:
-    ledgers, violations = _attribute_reports([result.report], migrator=migrator)
-    _write_telemetry_outputs(args, result.probe, attributions=ledgers, sink=sink)
-    if args.experiment == "trace" and result.probe is not None and result.probe.enabled:
-        print(result.probe.tracer.phase_table())
-    if args.json:
-        payload = result.report.to_dict()
-        payload["workload"] = result.workload
-        payload["engine"] = result.engine
-        payload["observed_app_downtime_s"] = result.observed_app_downtime_s
-        payload["attribution"] = ledgers
-        if args.digest:
-            payload["final_digest"] = _final_digest(vm, result.report)
-        print(json.dumps(payload, indent=2))
-    else:
-        if result.policy_decision is not None:
-            print(f"policy: chose {result.engine} — {result.policy_decision.reason}")
-        print(result.report.summary())
-        if args.audit and ledgers:
-            from repro.viz import attribution_waterfall
-
-            print(attribution_waterfall(ledgers[-1]))
-    verdict = _audit_verdict(args, violations)
-    if verdict is not None:
-        return verdict
-    return 0 if result.report.verified else 1
+    return 0 if payload["ok"] and report is not None and report.verified else 1
 
 
 def _run_migrate(args: argparse.Namespace) -> int:
-    from repro.core import MigrationExperiment
-    from repro.core.experiment import ExperimentRun
-    from repro.units import MiB
-
-    if args.supervise or args.wan:
-        return _run_supervised(args)
-    telemetry = _telemetry_requested(args) or args.experiment == "trace"
-    experiment = MigrationExperiment(
-        workload=args.workload,
-        engine=args.engine,
-        mem_bytes=MiB(args.mem_mb),
-        max_young_bytes=MiB(args.young_mb),
-        seed=args.seed,
-        telemetry=telemetry,
-    )
-    run = ExperimentRun(experiment)
+    spec = _spec(args)
     sink = _make_sink(args)
-    if sink is not None and run.vm.probe.enabled:
-        run.vm.probe.sink = sink
-        if run.vm.event_log is not None:
-            run.vm.event_log.sink = sink
-    result = run.run(_checkpointer(args, experiment.config_fingerprint()))
-    return _print_migrate(args, result, run.vm, migrator=run.migrator, sink=sink)
+    driver = spec.build_driver(sink)
+    checkpointer = None
+    if args.checkpoint_dir:
+        checkpointer = spec.checkpointer(
+            args.checkpoint_dir, args.checkpoint_every, _max_overhead(args)
+        )
+    driver.run(checkpointer)
+    return _print_run(args, driver, sink=sink)
 
 
 def _run_resume(args: argparse.Namespace) -> int:
     from repro.checkpoint import resume
-    from repro.core.experiment import ExperimentRun
-    from repro.core.supervisor import MigrationSupervisor
+    from repro.errors import CheckpointError
+    from repro.service.session import restored_driver
 
     if not args.checkpoint_dir:
         print("resume needs --checkpoint-dir", file=sys.stderr)
         return 2
     resumed = resume(args.checkpoint_dir)
-    controller = resumed.controller
-    checkpointer = _checkpointer(args, {})
-    if isinstance(controller, MigrationSupervisor):
-        result = controller.run(checkpointer)
-        vm = controller.vm
-        if vm.probe.enabled:
-            vm.probe.finish(controller.engine.now)
-        return _print_supervised(args, result, vm)
-    if isinstance(controller, ExperimentRun):
-        result = controller.run(checkpointer)
-        return _print_migrate(
-            args, result, controller.vm, migrator=controller.migrator
-        )
-    print(
-        f"checkpoint holds an unresumable {type(controller).__name__} root",
-        file=sys.stderr,
-    )
-    return 2
+    try:
+        driver = restored_driver(resumed.controller)
+    except CheckpointError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    driver.run(resumed.checkpointer(
+        every_s=args.checkpoint_every, max_overhead=_max_overhead(args)
+    ))
+    return _print_run(args, driver)
 
 
 def _resolve_inputs(args: argparse.Namespace) -> list[str]:
@@ -838,7 +697,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     """Run the migration-manager daemon (blocks until 'ctl shutdown')."""
     from repro.service.server import serve
 
-    budget = args.checkpoint_budget
     print(
         f"repro serve: root={args.service_dir} max_active={args.max_active} "
         f"slice={args.slice_s}s",
@@ -849,28 +707,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_active=args.max_active,
         slice_s=args.slice_s,
         checkpoint_every_s=args.checkpoint_every,
-        checkpoint_overhead=None if budget <= 0 else budget / 100.0,
+        checkpoint_overhead=_max_overhead(args),
     )
     return 0
-
-
-def _submit_config(args: argparse.Namespace) -> dict:
-    """One SessionConfig from the migrate-flag surface."""
-    return {
-        "workload": args.workload,
-        "engine": args.engine,
-        "mem_mb": args.mem_mb,
-        "young_mb": args.young_mb,
-        "warmup_s": args.warmup_s,
-        "cooldown_s": args.cooldown_s,
-        "kernel": args.kernel,
-        "seed": args.seed,
-        "supervise": args.supervise,
-        "wan": args.wan,
-        "max_attempts": args.max_attempts,
-        "telemetry": not args.no_session_telemetry,
-        "name": args.session_name,
-    }
 
 
 def _run_ctl(args: argparse.Namespace) -> int:
@@ -889,7 +728,7 @@ def _run_ctl(args: argparse.Namespace) -> int:
     client = ServiceClient(args.service_dir)
     try:
         if verb == "submit":
-            response = client.request("submit", config=_submit_config(args))
+            response = client.request("submit", config=_spec(args).to_dict())
             print(response["id"])
             return 0
         if verb in ("status", "list"):

@@ -89,6 +89,15 @@ class JavaVM:
             engine.add(actor)
         return engine
 
+    def stream_to(self, sink) -> None:
+        """Mirror the guest's telemetry and event log onto a
+        :class:`~repro.telemetry.live.StreamSink` as they happen (a
+        no-op when telemetry is off)."""
+        if self.probe.enabled:
+            self.probe.sink = sink
+            if self.event_log is not None:
+                self.event_log.sink = sink
+
 
 def build_java_vm(
     workload: str | WorkloadSpec = "derby",

@@ -55,6 +55,18 @@ class ExperimentResult:
     probe: object | None = None
 
     @property
+    def ok(self) -> bool:
+        """The migration completed rather than aborting."""
+        return not self.report.aborted
+
+    def summary(self) -> str:
+        """The live policy decision of an ``engine="auto"`` run, or ""
+        (the report renders its own summary)."""
+        if self.policy_decision is None:
+            return ""
+        return f"policy: chose {self.engine} — {self.policy_decision.reason}"
+
+    @property
     def throughput_drop_fraction(self) -> float:
         """Relative post- vs pre-migration steady-state throughput drop."""
         if self.mean_throughput_before <= 0:
@@ -196,6 +208,14 @@ class ExperimentRun:
     @property
     def done(self) -> bool:
         return self.phase == "done"
+
+    @property
+    def live_migrator(self):
+        """The migrator while the migrate phase runs, else None."""
+        return self.migrator if self.phase == "migrate" else None
+
+    #: a plain run is a single attempt
+    attempt = 1
 
     def step(self, limit: float, checkpointer=None) -> bool:
         """Advance the run up to the absolute simulated instant *limit*.

@@ -648,29 +648,6 @@ class MigrationSupervisor:
         self._state = "next"
 
 
-def supervised_config_fingerprint(
-    workload: str,
-    engine_name: str,
-    plan: object | None,
-    warmup_s: float,
-    dt: float,
-    seed: int,
-    vm_kwargs: dict | None,
-) -> dict:
-    """The scalar config hashed into supervised-run checkpoint
-    manifests (see :func:`repro.checkpoint.config_hash`)."""
-    return {
-        "driver": "supervised_migrate",
-        "workload": workload,
-        "engine_name": engine_name,
-        "plan": [repr(e) for e in plan] if plan is not None else [],
-        "warmup_s": warmup_s,
-        "dt": dt,
-        "seed": seed,
-        "vm_kwargs": {k: str(v) for k, v in sorted((vm_kwargs or {}).items())},
-    }
-
-
 class SupervisedRun:
     """The resumable configure/step/report machine behind
     :func:`supervised_migrate`.
@@ -718,10 +695,8 @@ class SupervisedRun:
         self.vm = build_java_vm(
             workload=workload, seed=seed, telemetry=telemetry, **self.vm_kwargs
         )
-        if telemetry_sink is not None and self.vm.probe.enabled:
-            self.vm.probe.sink = telemetry_sink
-            if self.vm.event_log is not None:
-                self.vm.event_log.sink = telemetry_sink
+        if telemetry_sink is not None:
+            self.vm.stream_to(telemetry_sink)
         self.vm.register(self.engine)
         self.link = link or Link()
         self.supervisor: MigrationSupervisor | None = None
@@ -755,6 +730,15 @@ class SupervisedRun:
     @property
     def done(self) -> bool:
         return self.phase == "done"
+
+    @property
+    def live_migrator(self):
+        """The current attempt's migrator, or None before the first."""
+        return None if self.supervisor is None else self.supervisor._migrator
+
+    @property
+    def attempt(self) -> int:
+        return 1 if self.supervisor is None else self.supervisor._attempt
 
     def _launch(self) -> None:
         """Warm-up is over: install the link driver, arm the fault
@@ -870,10 +854,6 @@ def supervised_migrate(
     if checkpoint is not None:
         from repro.checkpoint import Checkpointer
 
-        if not checkpoint.config:
-            checkpoint.config = supervised_config_fingerprint(
-                workload, engine_name, plan, warmup_s, dt, seed, vm_kwargs
-            )
         checkpointer = Checkpointer(checkpoint)
     outcome = run.run(checkpointer)
     return outcome, run.vm

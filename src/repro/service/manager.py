@@ -78,7 +78,7 @@ class MigrationManager:
 
     def submit(self, config: SessionConfig | dict) -> str:
         """Queue one migration; returns its session id."""
-        if isinstance(config, dict):
+        if not isinstance(config, SessionConfig):
             config = SessionConfig.from_dict(config)
         session_id = self._new_id(config)
         while session_id in self.sessions:  # counter reseeded after recover

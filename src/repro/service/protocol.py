@@ -57,8 +57,12 @@ def default_socket_path(root_dir: str) -> str:
 
 
 def write_addr(root_dir: str, socket_path: str) -> None:
-    with open(os.path.join(root_dir, ADDR_FILE), "w", encoding="utf-8") as fh:
+    # Renamed into place: a client polling for the daemon never reads
+    # a half-written (empty) path.
+    path = os.path.join(root_dir, ADDR_FILE)
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write(socket_path + "\n")
+    os.replace(path + ".tmp", path)
 
 
 def read_addr(root_dir: str) -> str:

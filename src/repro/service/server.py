@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import os
 
+from repro.errors import ConfigurationError
 from repro.service import protocol
 from repro.service.manager import MigrationManager
 from repro.service.session import SessionError
@@ -54,6 +55,9 @@ class ServiceDaemon:
         op = request.get("op")
         if op not in protocol.VERBS:
             return protocol.error(f"unknown op {op!r}")
+        session_id = request.get("id")
+        if session_id is not None and not isinstance(session_id, str):
+            return protocol.error("a session id must be a string")
         manager = self.manager
         try:
             if op == "ping":
@@ -66,7 +70,6 @@ class ServiceDaemon:
                 session_id = manager.submit(request.get("config", {}))
                 return protocol.ok(id=session_id)
             if op in ("status", "list"):
-                session_id = request.get("id")
                 if op == "list" or session_id is None:
                     return protocol.ok(sessions=manager.status())
                 return protocol.ok(session=manager.status(session_id))
@@ -80,7 +83,6 @@ class ServiceDaemon:
             if op == "shutdown":
                 self._stop.set()
                 return protocol.ok(stopping=True)
-            session_id = request.get("id")
             if not session_id:
                 return protocol.error(f"op {op!r} needs a session id")
             if op == "pause":
@@ -97,7 +99,7 @@ class ServiceDaemon:
                 )
             if op == "finalize":
                 return protocol.ok(result=manager.finalize(session_id))
-        except SessionError as exc:
+        except ConfigurationError as exc:  # SessionError and bad specs
             return protocol.error(str(exc))
         return protocol.error(f"unhandled op {op!r}")  # pragma: no cover
 

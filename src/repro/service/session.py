@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.units import MiB
 
 # -- lifecycle states -------------------------------------------------------------------
@@ -55,13 +55,26 @@ class SessionError(ConfigurationError):
     """An illegal control verb for the session's current state."""
 
 
+#: dataclass annotation -> the types a spec field accepts (JSON numbers
+#: arrive as int or float; bool is never accepted as a number)
+_FIELD_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+}
+
+
 @dataclass
 class SessionConfig:
-    """The JSON-shaped description of one migration to run.
+    """The one description of a migration run.
 
-    This is the unit the socket protocol submits, the admin record
-    persists, and :func:`run_standalone` replays — one schema for the
-    daemon path and the equivalence oracle.
+    ``repro migrate``/``trace``/``ctl submit`` build it from their flags,
+    the socket protocol submits it, the admin record persists it, and
+    :func:`run_standalone` replays it.  Construction validates every
+    field, so a bad spec is refused where it is written, not inside a
+    session.
     """
 
     workload: str = "derby"
@@ -79,12 +92,47 @@ class SessionConfig:
     #: WAN profile name (implies supervise; matches ``repro migrate --wan``)
     wan: str | None = None
     max_attempts: int = 4
+    #: the supervisor's rescue ladder and RTT-scaled watchdogs
+    #: (``repro migrate --no-rescue`` turns both off)
+    rescue: bool = True
     #: stream spans/samples/events to the session's telemetry.jsonl
     telemetry: bool = True
     #: free-form operator label, surfaced by status/watch
     name: str = ""
 
     def __post_init__(self) -> None:
+        from repro.core.builders import ENGINE_NAMES
+        from repro.net import WAN_PROFILES
+        from repro.sim.engine import KERNELS
+        from repro.workloads.spec import REGISTRY
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise ConfigurationError(
+                    f"session config field {f.name!r} must be {f.type}, "
+                    f"not {type(value).__name__}"
+                )
+        for name in ("mem_mb", "young_mb", "dt", "migration_timeout_s",
+                     "max_attempts"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ConfigurationError(f"session config {name} must be > 0")
+        for name in ("warmup_s", "cooldown_s"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"session config {name} must be >= 0")
+        for name, known in (
+            ("workload", REGISTRY),
+            ("engine", ENGINE_NAMES + ("auto",)),
+            ("kernel", KERNELS),
+            ("wan", WAN_PROFILES),
+        ):
+            value = getattr(self, name)
+            if value is not None and value not in known:
+                raise ConfigurationError(
+                    f"unknown {name} {value!r}; known: {', '.join(sorted(known))}"
+                )
         if self.wan:
             self.supervise = True
 
@@ -93,6 +141,8 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
+        if not isinstance(data, dict):
+            raise SessionError("a session config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -101,85 +151,96 @@ class SessionConfig:
             )
         return cls(**data)
 
-    # -- the builders both the session and the standalone twin share --------------------
+    def fingerprint(self) -> dict:
+        """The scalar config hashed into checkpoint manifests, so a
+        resume into a different run is refused.  It leaves out what
+        cannot change the simulated run: the label, the telemetry
+        switch, and the kernel (the event kernel is bit-identical to the
+        fixed one, so a checkpoint resumes under either)."""
+        fp = self.to_dict()
+        for name in ("name", "telemetry", "kernel"):
+            del fp[name]
+        return fp
 
-    def vm_kwargs(self) -> dict:
-        return {
+    def checkpointer(self, directory: str, every_s: float,
+                     max_overhead: float | None):
+        """A cadence checkpointer stamping this spec's fingerprint."""
+        from repro.checkpoint import CheckpointConfig, Checkpointer
+
+        return Checkpointer(CheckpointConfig(
+            directory=directory, every_s=every_s,
+            config=self.fingerprint(), max_overhead=max_overhead,
+        ))
+
+    def build_driver(self, sink=None):
+        """The bounded-slice driver for this spec (configure phase),
+        with *sink* streaming its telemetry when telemetry is on.
+
+        One of the three places that tell a plain run from a supervised
+        one (with :func:`restored_driver` and :func:`run_payload`).
+        """
+        vm_kwargs = {
             "mem_bytes": MiB(self.mem_mb),
             "max_young_bytes": MiB(self.young_mb),
         }
-
-    def make_link(self):
-        """A fresh link — seeded WAN or plain LAN — for one run."""
-        if self.wan:
-            from repro.net import wan_link
-
-            return wan_link(self.wan, seed=self.seed)
-        return None  # drivers default to a plain Link()
-
-    def fingerprint(self) -> dict:
-        """The scalar config hashed into this session's checkpoint
-        manifests, so a restarted daemon refuses to resume a session
-        directory into a different config."""
-        if self.supervise:
-            from repro.core.supervisor import supervised_config_fingerprint
-
-            fp = supervised_config_fingerprint(
-                self.workload, self._engine_name(), None,
-                self.warmup_s, self.dt, self.seed, self.vm_kwargs(),
-            )
-            fp["wan"] = self.wan or ""
-            fp["max_attempts"] = self.max_attempts
-            return fp
-        return self._experiment().config_fingerprint()
-
-    def _engine_name(self) -> str:
-        # The supervisor has no "auto" mode; mirror the CLI's mapping.
-        return "javmm" if self.engine == "auto" else self.engine
-
-    def _experiment(self):
-        from repro.core import MigrationExperiment
-
-        return MigrationExperiment(
-            workload=self.workload,
-            engine=self.engine,
-            mem_bytes=MiB(self.mem_mb),
-            max_young_bytes=MiB(self.young_mb),
-            warmup_s=self.warmup_s,
-            cooldown_s=self.cooldown_s,
-            dt=self.dt,
-            kernel=self.kernel,
-            seed=self.seed,
-            migration_timeout_s=self.migration_timeout_s,
-            telemetry=self.telemetry,
-        )
-
-    def build_driver(self, sink=None):
-        """The bounded-slice driver for this config (configure phase)."""
         if self.supervise:
             from repro.core.supervisor import SupervisedRun
 
-            return SupervisedRun(
+            link = None  # SupervisedRun defaults to a plain Link()
+            if self.wan:
+                from repro.net import wan_link
+
+                link = wan_link(self.wan, seed=self.seed)
+            driver = SupervisedRun(
                 workload=self.workload,
-                engine_name=self._engine_name(),
-                link=self.make_link(),
+                # the supervisor has no "auto" mode
+                engine_name="javmm" if self.engine == "auto" else self.engine,
+                link=link,
                 warmup_s=self.warmup_s,
                 dt=self.dt,
                 kernel=self.kernel,
                 seed=self.seed,
-                vm_kwargs=self.vm_kwargs(),
+                vm_kwargs=vm_kwargs,
                 max_attempts=self.max_attempts,
                 telemetry=self.telemetry,
-                telemetry_sink=sink,
+                rescue=self.rescue,
+                scale_timeouts=self.rescue,
             )
-        from repro.core.experiment import ExperimentRun
+        else:
+            from repro.core.experiment import ExperimentRun, MigrationExperiment
 
-        run = ExperimentRun(self._experiment())
-        if sink is not None and run.vm.probe.enabled:
-            run.vm.probe.sink = sink
-            if run.vm.event_log is not None:
-                run.vm.event_log.sink = sink
-        return run
+            driver = ExperimentRun(MigrationExperiment(
+                workload=self.workload,
+                engine=self.engine,
+                warmup_s=self.warmup_s,
+                cooldown_s=self.cooldown_s,
+                dt=self.dt,
+                kernel=self.kernel,
+                seed=self.seed,
+                migration_timeout_s=self.migration_timeout_s,
+                telemetry=self.telemetry,
+                **vm_kwargs,
+            ))
+        if sink is not None:
+            driver.vm.stream_to(sink)
+        return driver
+
+
+def restored_driver(root):
+    """Rewrap a checkpoint's pickle root as a driver: a restored
+    :class:`~repro.core.supervisor.MigrationSupervisor` continues inside
+    a :class:`~repro.core.supervisor.SupervisedRun`, an
+    :class:`~repro.core.experiment.ExperimentRun` as it is."""
+    from repro.core.experiment import ExperimentRun
+    from repro.core.supervisor import MigrationSupervisor, SupervisedRun
+
+    if isinstance(root, MigrationSupervisor):
+        return SupervisedRun.from_supervisor(root)
+    if isinstance(root, ExperimentRun):
+        return root
+    raise CheckpointError(
+        f"checkpoint holds an unresumable {type(root).__name__} root"
+    )
 
 
 # -- payloads and digests ---------------------------------------------------------------
@@ -206,23 +267,30 @@ def run_digest(vm, report) -> str:
     return h.hexdigest()
 
 
-def _ledgers(reports) -> tuple[list[dict], list[str]]:
-    from repro.telemetry.attribution import attribute_report
+def _ledgers(reports, link=None) -> tuple[list[dict], list[str]]:
+    """Ledgers plus every conservation violation for one run's reports.
 
+    With the run's *link* at hand its meter is reconciled too: the run
+    owns the link throughout, so the meter's category totals must match
+    the summed report ledgers exactly.
+    """
+    from repro.telemetry.attribution import attribute_report, audit_meter
+
+    reports = [report for report in reports if report is not None]
     ledgers, violations = [], []
     for report in reports:
-        if report is None:
-            continue
         led = attribute_report(report)
         ledgers.append(led.to_dict())
         violations.extend(f"attempt {led.attempt}: {v}" for v in led.violations)
+    if link is not None:
+        violations.extend(f"meter: {v}" for v in audit_meter(link.meter, reports))
     return ledgers, violations
 
 
-def experiment_payload(result, vm) -> dict:
-    """The JSON result of a plain session — same shape as
-    ``repro migrate --json --digest`` so reports diff 1:1."""
-    ledgers, violations = _ledgers([result.report])
+def experiment_payload(result, vm, link=None) -> dict:
+    """The JSON result of a plain run: the flat report plus ``ok``,
+    attribution, conservation violations and ``final_digest``."""
+    ledgers, violations = _ledgers([result.report], link)
     payload = result.report.to_dict()
     payload["workload"] = result.workload
     payload["engine"] = result.engine
@@ -234,10 +302,10 @@ def experiment_payload(result, vm) -> dict:
     return payload
 
 
-def supervised_payload(result, vm) -> dict:
-    """The JSON result of a supervised session — same shape as
-    ``repro migrate --supervise --json --digest``."""
-    ledgers, violations = _ledgers([rec.report for rec in result.attempts])
+def supervised_payload(result, vm, link=None) -> dict:
+    """The JSON result of a supervised run: the attempts, the rescues
+    and the final ``report`` nested, plus the same audit fields."""
+    ledgers, violations = _ledgers([rec.report for rec in result.attempts], link)
     payload = {
         "ok": result.ok,
         "engine": result.engine,
@@ -262,6 +330,16 @@ def supervised_payload(result, vm) -> dict:
     return payload
 
 
+def run_payload(driver) -> dict:
+    """The JSON result of a finished driver — what ``repro migrate
+    --json`` and ``repro resume --json`` print and a session stores."""
+    from repro.core.supervisor import SupervisedRun
+
+    if isinstance(driver, SupervisedRun):
+        return supervised_payload(driver.result, driver.vm, driver.link)
+    return experiment_payload(driver.result, driver.vm, driver.link)
+
+
 def run_standalone(config: SessionConfig) -> dict:
     """Run *config* to completion in-process, no manager, no slicing.
 
@@ -269,11 +347,8 @@ def run_standalone(config: SessionConfig) -> dict:
     bit-identical to this function's return for the same config.
     """
     driver = config.build_driver(sink=None)
-    if config.supervise:
-        result = driver.run()
-        return supervised_payload(result, driver.vm)
-    result = driver.run()
-    return experiment_payload(result, driver.vm)
+    driver.run()
+    return run_payload(driver)
 
 
 # -- the session ------------------------------------------------------------------------
@@ -336,22 +411,25 @@ class MigrationSession:
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
 
-    def _persist_admin(self) -> None:
+    def _write_json(self, name: str, data: dict) -> None:
+        """Durably replace ``<directory>/<name>`` (no-op without one)."""
         if self.directory is None:
             return
-        record = {
+        tmp = self._path(name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self._path(name))
+
+    def _persist_admin(self) -> None:
+        self._write_json("session.json", {
             "id": self.id,
             "config": self.config.to_dict(),
             "state": self._admin.state,
             "error": self._admin.error,
             "finalized": self._admin.finalized,
-        }
-        tmp = self._path("session.json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path("session.json"))
+        })
 
     @classmethod
     def load(
@@ -363,22 +441,18 @@ class MigrationSession:
         """Rebuild a session from its directory (daemon restart)."""
         with open(os.path.join(directory, "session.json"), encoding="utf-8") as fh:
             record = json.load(fh)
-        session = cls.__new__(cls)
-        session.id = record["id"]
-        session.config = SessionConfig.from_dict(record["config"])
+        session = cls(
+            record["id"], SessionConfig.from_dict(record["config"]),
+            checkpoint_every_s=checkpoint_every_s,
+            checkpoint_overhead=checkpoint_overhead,
+        )
         session.directory = directory
-        session.checkpoint_every_s = checkpoint_every_s
-        session.checkpoint_overhead = checkpoint_overhead
         session._admin = _Admin(
             id=record["id"],
             state=record["state"],
             error=record.get("error", ""),
             finalized=record.get("finalized", False),
         )
-        session.driver = None
-        session.checkpointer = None
-        session._sink = None
-        session.result_payload = None
         result_path = os.path.join(directory, "result.json")
         if os.path.exists(result_path):
             with open(result_path, encoding="utf-8") as fh:
@@ -397,15 +471,8 @@ class MigrationSession:
     def _make_checkpointer(self):
         if self.checkpoint_every_s is None or self.directory is None:
             return None
-        from repro.checkpoint import CheckpointConfig, Checkpointer
-
-        return Checkpointer(
-            CheckpointConfig(
-                directory=self._path("ckpts"),
-                every_s=self.checkpoint_every_s,
-                config=self.config.fingerprint(),
-                max_overhead=self.checkpoint_overhead,
-            )
+        return self.config.checkpointer(
+            self._path("ckpts"), self.checkpoint_every_s, self.checkpoint_overhead
         )
 
     def start(self) -> None:
@@ -421,15 +488,7 @@ class MigrationSession:
         except Exception as exc:  # noqa: BLE001 — a config that cannot
             # even build (e.g. no room for an Old generation) fails its
             # session, not the daemon.
-            self._admin.state = FAILED
-            self._admin.error = f"{type(exc).__name__}: {exc}"
-            self._write_result({
-                "ok": False,
-                "failed": True,
-                "error": self._admin.error,
-            })
-            self._close_sink()
-            self._persist_admin()
+            self._fail(exc)
             return
         self._admin.state = RUNNING
         self._persist_admin()
@@ -456,13 +515,7 @@ class MigrationSession:
             self._sink = self._make_sink()
             self.driver = self.config.build_driver(sink=self._sink)
         else:
-            controller = restored.controller
-            if self.config.supervise:
-                from repro.core.supervisor import SupervisedRun
-
-                self.driver = SupervisedRun.from_supervisor(controller)
-            else:
-                self.driver = controller
+            self.driver = restored_driver(restored.controller)
             # The pickled graph carries the session's JsonlSink; it
             # reopened itself append-mode on restore.
             self._sink = getattr(self.driver.vm.probe, "sink", None)
@@ -478,49 +531,29 @@ class MigrationSession:
             finished = driver.step(driver.engine.now + slice_s, self.checkpointer)
         except Exception as exc:  # noqa: BLE001 — session isolation:
             # one blown simulation must not take the daemon down.
-            self._admin.state = FAILED
-            self._admin.error = f"{type(exc).__name__}: {exc}"
-            self._write_result({
-                "ok": False,
-                "failed": True,
-                "error": self._admin.error,
-            })
-            self._close_sink()
-            self._persist_admin()
+            self._fail(exc)
             return True
         if finished:
-            self._complete()
-            return True
-        return False
+            state = DONE if driver.result.ok else ABORTED
+            self._finish(state, run_payload(driver))
+        return finished
 
-    def _complete(self) -> None:
-        driver = self.driver
-        if self.config.supervise:
-            payload = supervised_payload(driver.result, driver.vm)
-            ok = driver.result.ok
-        else:
-            payload = experiment_payload(driver.result, driver.vm)
-            ok = True
-        self._write_result(payload)
-        self._admin.state = DONE if ok else ABORTED
-        self._close_sink()
-        self._persist_admin()
+    def _fail(self, exc: Exception) -> None:
+        error = f"{type(exc).__name__}: {exc}"
+        self._finish(FAILED, {"ok": False, "failed": True, "error": error}, error)
 
-    def _write_result(self, payload: dict) -> None:
+    def _finish(self, state: str, payload: dict, error: str | None = None) -> None:
+        """Enter terminal *state*: store the result *payload* durably
+        (it survives restarts), close the telemetry stream, persist."""
+        self._admin.state = state
+        if error is not None:
+            self._admin.error = error
         self.result_payload = payload
-        if self.directory is None:
-            return
-        tmp = self._path("result.json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path("result.json"))
-
-    def _close_sink(self) -> None:
+        self._write_json("result.json", payload)
         if self._sink is not None:
             self._sink.close()
             self._sink = None
+        self._persist_admin()
 
     # -- control verbs ------------------------------------------------------------------
 
@@ -542,17 +575,7 @@ class MigrationSession:
         self._persist_admin()
 
     def _live_migrator(self):
-        """The migrator currently in flight, or None."""
-        driver = self.driver
-        if driver is None:
-            return None
-        if self.config.supervise:
-            supervisor = driver.supervisor
-            return None if supervisor is None else supervisor._migrator
-        migrator = driver.migrator
-        if migrator is None or driver.phase != "migrate":
-            return None
-        return migrator
+        return None if self.driver is None else self.driver.live_migrator
 
     def stop_and_copy(self) -> None:
         """Force the in-flight migration into stop-and-copy at the next
@@ -578,16 +601,12 @@ class MigrationSession:
         if migrator is not None and not migrator.finished:
             migrator.abort(self.driver.engine.now, reason)
             report = migrator.report
-        self._admin.state = ABORTED
-        self._admin.error = reason
         payload: dict = {"ok": False, "aborted": True, "reason": reason}
         if report is not None:
             payload["report"] = report.to_dict()
         if self.driver is not None:
             payload["final_digest"] = run_digest(self.driver.vm, report)
-        self._write_result(payload)
-        self._close_sink()
-        self._persist_admin()
+        self._finish(ABORTED, payload, reason)
 
     def finalize(self) -> dict:
         """Collect the result and retire the session.  One-shot: a
@@ -620,16 +639,12 @@ class MigrationSession:
         driver = self.driver
         if driver is not None:
             info["sim_now_s"] = driver.engine.now
-            info["phase"] = getattr(driver, "phase", None)
-            if self.config.supervise and driver.supervisor is not None:
-                info["attempt"] = driver.supervisor._attempt
+            info["phase"] = driver.phase
+            info["attempt"] = driver.attempt
         if self.result_payload is not None:
             info["ok"] = self.result_payload.get("ok")
-            report = (
-                self.result_payload
-                if not self.config.supervise
-                else self.result_payload.get("report")
-            )
+            # supervised and aborted payloads nest the report
+            report = self.result_payload.get("report", self.result_payload)
             if isinstance(report, dict) and "completion_time_s" in report:
                 info["completion_time_s"] = report.get("completion_time_s")
                 info["vm_downtime_s"] = report.get("downtime", {}).get(

@@ -326,6 +326,31 @@ def test_resume_refuses_wrong_config(tmp_path):
         resume(str(tmp_path), expect_config=other.config_fingerprint())
 
 
+def test_resumed_run_keeps_the_config_hash(tmp_path):
+    """A run crashed twice resumes twice under the same expected config:
+    the resumed run's checkpoints carry the original config hash."""
+    exp = MigrationExperiment(
+        workload="crypto", engine="javmm", warmup_s=6.0, cooldown_s=3.0,
+        seed=7, **VM_KWARGS,
+    )
+    baseline = ExperimentRun(exp).run()
+    fingerprint = exp.config_fingerprint()
+    cfg = CheckpointConfig(directory=str(tmp_path), every_s=0.5,
+                           crash_at_tick=500, max_overhead=None,
+                           config=fingerprint)
+    with pytest.raises(SimulatedCrash):
+        ExperimentRun(exp).run(Checkpointer(cfg))
+    first = resume(str(tmp_path), expect_config=fingerprint)
+    with pytest.raises(SimulatedCrash):
+        first.controller.run(first.checkpointer(
+            every_s=0.5, crash_at_tick=900, max_overhead=None))
+    second = resume(str(tmp_path), expect_config=fingerprint)
+    assert second.archive.tick > 500
+    result = second.controller.run(
+        second.checkpointer(every_s=0.5, max_overhead=None))
+    assert result.report.to_dict() == baseline.report.to_dict()
+
+
 # -- supervisor mid-attempt resume proof -----------------------------------------------
 
 

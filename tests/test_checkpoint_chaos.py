@@ -217,7 +217,7 @@ def test_sigkill_crash_resume_digest(tmp_path, kernel):
     args = [
         "migrate", "--workload", "derby", "--engine", "javmm",
         "--mem-mb", "512", "--young-mb", "128", "--kernel", kernel,
-        "--json", "--digest",
+        "--json",
     ]
     expected = _cli_digest(args)
 
@@ -246,7 +246,7 @@ def test_sigkill_crash_resume_digest(tmp_path, kernel):
 
     resumed = _cli_digest(
         ["resume", "--checkpoint-dir", str(ck), "--kernel", kernel,
-         "--json", "--digest"]
+         "--json"]
     )
     assert resumed == expected
 

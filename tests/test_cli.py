@@ -82,3 +82,60 @@ def test_experiment_registry_complete():
     assert set(ALL_EXPERIMENTS) == expected
     for module in ALL_EXPERIMENTS.values():
         assert hasattr(module, "main")
+
+
+SMALL_MIGRATE = ["--workload", "crypto", "--mem-mb", "512", "--young-mb", "128"]
+
+
+@pytest.mark.parametrize("extra,spec", [
+    ([], dict(warmup_s=20.0, cooldown_s=10.0)),
+    (["--supervise"], dict(supervise=True, warmup_s=5.0)),
+])
+def test_migrate_json_is_the_standalone_payload(capsys, extra, spec):
+    """``migrate --json`` prints exactly what ``run_standalone`` returns
+    for the same spec: one payload builder for the CLI and the service."""
+    import json as jsonlib
+
+    from repro.service import SessionConfig, run_standalone
+
+    assert main(["migrate", *SMALL_MIGRATE, *extra, "--json"]) == 0
+    payload = jsonlib.loads(capsys.readouterr().out)
+    config = SessionConfig(
+        workload="crypto", mem_mb=512, young_mb=128, telemetry=False, **spec
+    )
+    assert payload == run_standalone(config)
+    assert payload["ok"] is True
+    assert payload["conservation_violations"] == []
+
+
+def test_migrate_honours_warmup_flag(capsys):
+    import json as jsonlib
+
+    code = main(["migrate", *SMALL_MIGRATE, "--warmup-s", "4",
+                 "--cooldown-s", "1", "--json"])
+    assert code == 0
+    payload = jsonlib.loads(capsys.readouterr().out)
+    assert payload["started_s"] == pytest.approx(4.0, abs=0.005)
+
+
+def test_migrate_refuses_a_bad_spec():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="mem_mb"):
+        main(["migrate", "--mem-mb", "-5"])
+
+
+def test_one_flags_to_spec_function_serves_migrate_and_submit():
+    from repro.cli import _spec
+
+    def spec(*argv):
+        return _spec(build_parser().parse_args(list(argv)))
+
+    assert (spec("migrate").warmup_s, spec("migrate").cooldown_s) == (20.0, 10.0)
+    submit = spec("ctl", "submit")
+    assert (submit.warmup_s, submit.cooldown_s, submit.telemetry) == (6.0, 3.0, True)
+    wan = spec("migrate", *SMALL_MIGRATE, "--wan", "metro", "--no-rescue")
+    assert wan.supervise and not wan.rescue and wan.warmup_s == 5.0
+    driver = wan.build_driver()
+    assert driver.supervisor_kwargs["rescue"] is False
+    assert driver.supervisor_kwargs["scale_timeouts"] is False

@@ -307,6 +307,52 @@ def test_ctl_rejects_unknown_ops_and_ids(daemon):
         client.request("pause")
 
 
+BAD_REQUESTS = [
+    ({"op": "submit", "config": ["x"]}, "JSON object"),
+    ({"op": "status", "id": ["x"]}, "must be a string"),
+    ({"op": "submit", "config": {"mem_mb": "lots"}}, "mem_mb"),
+    ({"op": "submit", "config": {"mem_mb": -5}}, "mem_mb"),
+    ({"op": "submit", "config": {"workload": "nope"}}, "unknown workload"),
+    ({"op": "submit", "config": {"engine": "warp"}}, "unknown engine"),
+    ({"op": "submit", "config": {"wan": "lunar"}}, "unknown wan"),
+    ({"op": "submit", "config": {"kernel": "quantum"}}, "unknown kernel"),
+    ({"op": "submit", "config": {"supervise": "yes"}}, "supervise"),
+]
+
+
+def test_ctl_refuses_bad_requests_and_keeps_the_connection(daemon):
+    """A malformed request or an invalid spec gets a typed refusal at
+    submit; the connection survives it and still answers ``ping``."""
+    import socket
+
+    from repro.service import protocol
+
+    root, client = daemon
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(protocol.read_addr(root))
+        stream = sock.makefile("rwb")
+
+        def ask(request: dict) -> dict:
+            stream.write(protocol.encode(request))
+            stream.flush()
+            return protocol.decode(stream.readline())
+
+        for request, why in BAD_REQUESTS:
+            response = ask(request)
+            assert response["ok"] is False, request
+            assert why in response["error"], (request, response)
+            assert ask({"op": "ping"})["ok"] is True
+    assert client.request("list")["sessions"] == []
+
+
+def test_fingerprint_ignores_label_telemetry_and_kernel():
+    assert SessionConfig().fingerprint() == SessionConfig(
+        name="x", telemetry=False, kernel="event"
+    ).fingerprint()
+    assert SessionConfig(seed=8).fingerprint() != SessionConfig().fingerprint()
+
+
 def test_shutdown_stops_the_daemon(tmp_path):
     root = str(tmp_path / "svc")
     proc = _spawn_daemon(root)
