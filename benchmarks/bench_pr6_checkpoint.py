@@ -127,9 +127,10 @@ def main(out_path: "str | None" = None) -> int:
     for workload, engine in MIGRATIONS:
         with tempfile.TemporaryDirectory() as d:
             exp = _experiment(workload, engine)
+            config = {"workload": workload, "engine": engine}
             cfg = CheckpointConfig(
                 directory=d, every_s=5.0, max_overhead=None,
-                crash_at_tick=CRASH_AT_TICK, config=exp.config_fingerprint(),
+                crash_at_tick=CRASH_AT_TICK, config=config,
             )
             try:
                 ExperimentRun(exp).run(Checkpointer(cfg))
@@ -137,7 +138,7 @@ def main(out_path: "str | None" = None) -> int:
             except SimulatedCrash:
                 pass
             t0 = time.perf_counter()
-            resumed = resume(d, expect_config=exp.config_fingerprint())
+            resumed = resume(d, expect_config=config)
             restore_ms.append((time.perf_counter() - t0) * 1e3)
             result = resumed.controller.run()
             if result.report.to_dict() != plain_reports[(workload, engine)]:

@@ -40,10 +40,10 @@ from repro.sim.engine import Engine
 #: on-disk layout version; bump on incompatible manifest/payload changes
 CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 
-#: version of the pickled ``state.pkl`` envelope (shared with
-#: :attr:`Engine.snapshot_version` so engine-rooted and
-#: controller-rooted archives read identically)
-STATE_VERSION = 1
+#: version of the pickled ``state.pkl`` envelope.  v2: a driver root is
+#: always an :class:`~repro.core.experiment.ExperimentRun` (v1 archives
+#: could hold a bare ``MigrationSupervisor``, which no longer resumes)
+STATE_VERSION = 2
 
 _CKPT_RE = re.compile(r"^ckpt-(\d+)$")
 

@@ -1,8 +1,9 @@
 """Checkpoint cadence, chaos crashes, and resume.
 
-The :class:`Checkpointer` is what resumable drivers (the experiment and
-supervisor state machines in :mod:`repro.core`) thread through their
-chunked ``engine.advance`` loops:
+The :class:`Checkpointer` is what the run driver
+(:class:`~repro.core.experiment.ExperimentRun`, the one checkpoint root
+for plain and supervised runs) threads through its chunked
+``engine.advance`` loops, its supervisor's included:
 
 - :meth:`Checkpointer.bound` caps how far one advance may leap so the
   next checkpoint lands on schedule instead of somewhere inside a
@@ -34,6 +35,7 @@ surface: ``.engine`` (required), ``.probe`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,7 +213,7 @@ def advance_to(
     controller,
     t: float,
     checkpointer: Checkpointer | None = None,
-    limit: float | None = None,
+    limit: float = math.inf,
 ) -> None:
     """``engine.run_until(t)`` chunked around checkpoint writes.
 
@@ -233,13 +235,9 @@ def advance_to(
             f"cannot run to {t:.3f}: time is already {engine.now:.3f}"
         )
     steps = 0
-    while engine.now < t:
-        if limit is not None and engine.now >= limit:
-            return
+    while engine.now < min(t, limit):
         bound = t if checkpointer is None else checkpointer.bound(t)
-        if limit is not None:
-            bound = min(bound, limit)
-        steps += engine.advance(bound)
+        steps += engine.advance(min(bound, limit))
         if steps > engine._max_steps:
             raise SimulationError("run_until exceeded the step budget")
         if checkpointer is not None:
@@ -252,7 +250,7 @@ def advance_while(
     deadline: float,
     timeout: float,
     checkpointer: Checkpointer | None = None,
-    limit: float | None = None,
+    limit: float = math.inf,
 ) -> None:
     """``engine.run_while`` against an *absolute* deadline.
 
@@ -270,12 +268,10 @@ def advance_while(
             raise SimulationError(
                 f"run_while did not terminate within {timeout:.1f} sim-seconds"
             )
-        if limit is not None and engine.now >= limit:
+        if engine.now >= limit:
             return
         bound = deadline if checkpointer is None else checkpointer.bound(deadline)
-        if limit is not None:
-            bound = min(bound, limit)
-        engine.advance(bound)
+        engine.advance(min(bound, limit))
         if checkpointer is not None:
             checkpointer.maybe(controller)
 

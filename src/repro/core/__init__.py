@@ -9,10 +9,12 @@ Typical use::
 
 - :func:`build_java_vm` — assemble a guest (domain, kernel, LKM, JVM,
   TI agent, analyzer) running one of the registered workloads.
-- :class:`MigrationExperiment` — warm up, migrate, cool down, report.
+- :class:`MigrationExperiment` — warm up, migrate, cool down, report;
+  the one run description, plain or supervised (``supervision=``).
 - :func:`choose_engine` — the Section 6 "intelligent framework" policy.
-- :class:`MigrationSupervisor` — retry an aborted migration with
-  backoff, degrading ``javmm`` → ``assisted`` → ``xen``.
+- :class:`MigrationSupervisor` — the migrate phase of every run: one
+  attempt for a plain run; for a supervised one, retry an aborted
+  migration with backoff, degrading ``javmm`` → ``assisted`` → ``xen``.
 """
 
 from repro.core.api import migrate, migrate_full

@@ -6,22 +6,28 @@ so a short warm-up reaches the same state), starts the chosen migration
 engine, runs until it completes, cools down, and returns everything the
 evaluation plots need.
 
-The drive loop lives in :class:`ExperimentRun`, an explicit phase
-machine (warmup → choose → migrate → cooldown → done) whose every
-deadline is an *absolute* simulated instant stored on the object — so
-the whole run, engine graph included, can be checkpointed between
-engine advances and resumed in another process exactly where it died
-(see :mod:`repro.checkpoint`).  ``MigrationExperiment.run()`` simply
-drives an :class:`ExperimentRun` with no checkpointer, which makes the
-uncheckpointed path the same code as the crash-safe one.
+The drive loop lives in :class:`ExperimentRun`, the one run driver: an
+explicit phase machine (warmup → choose → migrate → cooldown → done)
+whose every deadline is an *absolute* simulated instant stored on the
+object — so the whole run, engine graph included, can be checkpointed
+between engine advances and resumed in another process exactly where
+it died (see :mod:`repro.checkpoint`).  The migrate phase always steps
+a :class:`~repro.core.supervisor.MigrationSupervisor`: a supervised run
+(``supervision=``) retries, backs off, degrades and rescues; a plain run
+is its degenerate case, one attempt with no recovery.
+``MigrationExperiment.run()`` simply drives an :class:`ExperimentRun`
+with no checkpointer, which makes the uncheckpointed path the same code
+as the crash-safe one.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.checkpoint.runner import advance_to
 from repro.core.builders import JavaVM, build_java_vm, make_migrator
 from repro.errors import MigrationError
 from repro.jvm.gc_model import MinorGcStats
@@ -74,6 +80,15 @@ class ExperimentResult:
         return 1.0 - self.mean_throughput_after / self.mean_throughput_before
 
 
+#: a plain run's supervision: one attempt, no rescue ladder or
+#: convergence monitor, no watchdogs, and ``migration_timeout_s`` as the
+#: unscaled attempt budget
+ONE_ATTEMPT = dict(
+    max_attempts=1, rescue=False, analysis=False, stall_timeout_s=None,
+    phase_timeouts={}, scale_timeouts=False,
+)
+
+
 @dataclass
 class MigrationExperiment:
     """One workload, one engine, one migration."""
@@ -89,18 +104,26 @@ class MigrationExperiment:
     #: simulation kernel ("fixed"/"event"); None defers to REPRO_SIM_KERNEL
     kernel: str | None = None
     seed: int = 20150421
+    #: the attempt budget (a supervisor may override it)
     migration_timeout_s: float = 600.0
     vm_kwargs: dict = field(default_factory=dict)
     migrator_kwargs: dict = field(default_factory=dict)
     #: build the guest with a live telemetry probe (spans + metrics)
     telemetry: bool = False
+    #: :class:`~repro.core.supervisor.MigrationSupervisor` arguments
+    #: (retry, backoff, degrade, rescue) for a supervised run; None
+    #: runs one plain attempt
+    supervision: dict | None = None
+    #: a :class:`~repro.faults.FaultPlan` armed when the migration starts
+    plan: object | None = None
 
-    def build(self) -> tuple[Engine, JavaVM, PrecopyMigrator | None]:
-        """Assemble the simulation without running it (for tests).
+    @property
+    def supervised(self) -> bool:
+        return self.supervision is not None
 
-        With ``engine="auto"`` the migrator is deferred: the Section-6
-        policy picks it from the live heap profile after warm-up.
-        """
+    def assemble(self) -> tuple[Engine, JavaVM, Link]:
+        """The engine, the registered guest and the link: the
+        simulation before any migrator exists."""
         engine = make_engine(self.dt, kernel=self.kernel)
         vm = build_java_vm(
             workload=self.workload,
@@ -111,68 +134,59 @@ class MigrationExperiment:
             **self.vm_kwargs,
         )
         vm.register(engine)
-        self._link = self.link if self.link is not None else Link()
+        return engine, vm, self.link if self.link is not None else Link()
+
+    def build(self) -> tuple[Engine, JavaVM, PrecopyMigrator | None]:
+        """Assemble the simulation with an unstarted migrator, without
+        running it (for tests).
+
+        With ``engine="auto"`` the migrator is deferred: the Section-6
+        policy picks it from the live heap profile after warm-up.
+        """
+        engine, vm, link = self.assemble()
         if self.engine == "auto":
             return engine, vm, None
-        migrator = make_migrator(self.engine, vm, self._link, **self.migrator_kwargs)
+        migrator = make_migrator(self.engine, vm, link, **self.migrator_kwargs)
         engine.add(migrator)
         vm.jvm.migration_load = migrator.load_fraction
         return engine, vm, migrator
-
-    def config_fingerprint(self) -> dict:
-        """The scalar config a checkpoint manifest hashes: two
-        experiments with equal fingerprints are interchangeable resume
-        sources."""
-        return {
-            "driver": "MigrationExperiment",
-            "workload": (
-                self.workload
-                if isinstance(self.workload, str)
-                else self.workload.name
-            ),
-            "engine": self.engine,
-            "mem_bytes": self.mem_bytes,
-            "max_young_bytes": self.max_young_bytes,
-            "warmup_s": self.warmup_s,
-            "cooldown_s": self.cooldown_s,
-            "dt": self.dt,
-            "seed": self.seed,
-            "migration_timeout_s": self.migration_timeout_s,
-            "vm_kwargs": {k: str(v) for k, v in sorted(self.vm_kwargs.items())},
-            "migrator_kwargs": {
-                k: str(v) for k, v in sorted(self.migrator_kwargs.items())
-            },
-        }
 
     def run(self, checkpointer=None) -> ExperimentResult:
         return ExperimentRun(self).run(checkpointer)
 
 
 class ExperimentRun:
-    """The resumable phase machine behind ``MigrationExperiment.run``.
+    """The resumable phase machine behind ``MigrationExperiment.run``,
+    for plain and supervised runs alike.
 
     All mutable drive state — the current phase, every deadline (as an
-    absolute simulated instant), the captured mid-run measurements —
-    lives on this object, and the object is the checkpoint's pickle
-    root, so a restored run continues mid-phase with nothing recomputed.
+    absolute simulated instant), the captured mid-run measurements, the
+    supervisor — lives on this object, and the object is the
+    checkpoint's pickle root, so a restored run continues mid-phase
+    with nothing recomputed.  :attr:`result` is an
+    :class:`ExperimentResult` for a plain run and the
+    :class:`~repro.core.supervisor.SupervisionResult` for a supervised
+    one.
     """
 
     def __init__(self, experiment: MigrationExperiment) -> None:
         self.experiment = experiment
-        engine, vm, migrator = experiment.build()
-        self.engine = engine
-        self.vm = vm
-        self.migrator = migrator
-        self.link = experiment._link
+        self.engine, self.vm, self.link = experiment.assemble()
         self.phase = "warmup"
         self.decision = None
+        self.supervisor = None
         self.young_at_migration: int | None = None
         self.old_at_migration: int | None = None
         self.migration_start: float | None = None
         self.migration_end: float | None = None
-        #: absolute deadline of the migrate phase (run_while semantics)
-        self._migrate_deadline: float | None = None
-        self.result: ExperimentResult | None = None
+        self.result = None
+
+    @property
+    def engine_name(self) -> str:
+        """The engine migrated with: the policy's pick under "auto"."""
+        if self.decision is not None:
+            return self.decision.engine
+        return self.experiment.engine
 
     # -- checkpoint hooks ---------------------------------------------------------------
 
@@ -186,36 +200,32 @@ class ExperimentRun:
         return {"page_versions": domain.read_pages(np.arange(domain.n_pages))}
 
     def checkpoint_extra(self) -> dict:
-        return {
-            "driver": "experiment",
+        sup = self.supervisor
+        extra = {
+            "driver": "supervisor" if self.experiment.supervised else "experiment",
             "phase": self.phase,
-            "engine": (
-                self.decision.engine
-                if self.decision is not None
-                else self.experiment.engine
-            ),
+            "engine": self.engine_name if sup is None else sup._current,
+            "attempt": self.attempt,
         }
+        if sup is not None and sup.injector is not None:
+            extra["faults_fired"] = len(sup.injector.injected)
+        return extra
 
     # -- the phase machine --------------------------------------------------------------
 
-    def run(self, checkpointer=None) -> ExperimentResult:
-        if checkpointer is not None and checkpointer.written == 0:
-            checkpointer.arm(self)
-        while self.phase != "done":
-            self._step_phase(None, checkpointer)
+    def run(self, checkpointer=None):
+        while not self.step(math.inf, checkpointer):
+            pass
         return self.result
 
     @property
-    def done(self) -> bool:
-        return self.phase == "done"
+    def live_migrator(self):
+        """The current attempt's migrator, or None outside one."""
+        return None if self.supervisor is None else self.supervisor._migrator
 
     @property
-    def live_migrator(self):
-        """The migrator while the migrate phase runs, else None."""
-        return self.migrator if self.phase == "migrate" else None
-
-    #: a plain run is a single attempt
-    attempt = 1
+    def attempt(self) -> int:
+        return 1 if self.supervisor is None else self.supervisor._attempt
 
     def step(self, limit: float, checkpointer=None) -> bool:
         """Advance the run up to the absolute simulated instant *limit*.
@@ -225,8 +235,9 @@ class ExperimentRun:
         a rising *limit*, interleaving many runs on one thread.  Each
         slice executes the same advance chunking as :meth:`run` — only
         tightened at the slice boundary — so a sliced run's simulated
-        measures are bit-identical to an unsliced one's.  Returns True
-        once the run is done (``self.result`` is set).
+        measures are bit-identical to an unsliced one's.  A fresh
+        *checkpointer* is armed with a baseline checkpoint first.
+        Returns True once the run is done (``self.result`` is set).
         """
         if checkpointer is not None and checkpointer.written == 0:
             checkpointer.arm(self)
@@ -234,55 +245,27 @@ class ExperimentRun:
             self._step_phase(limit, checkpointer)
         return self.phase == "done"
 
-    def _step_phase(self, limit: float | None, checkpointer) -> None:
+    def _step_phase(self, limit: float, checkpointer) -> None:
         """Execute one bounded slice of the current phase.
 
         Phase *transitions* happen only when the phase's own target is
         reached; hitting *limit* first returns with the phase (and its
         absolute deadlines) untouched, to be continued next slice.
         """
-        from repro.checkpoint.runner import advance_to, advance_while
-
         exp = self.experiment
         if self.phase == "warmup":
             advance_to(self, exp.warmup_s, checkpointer, limit=limit)
             if self.engine.now >= exp.warmup_s:
                 self.phase = "choose"
         elif self.phase == "choose":
-            if self.migrator is None:
-                from repro.core.auto import choose_engine_live
-
-                self.decision = choose_engine_live(
-                    self.vm, exp.warmup_s, link=self.link
-                )
-                self.migrator = make_migrator(
-                    self.decision.engine, self.vm, self.link,
-                    **exp.migrator_kwargs,
-                )
-                self.engine.add(self.migrator)
-                self.vm.jvm.migration_load = self.migrator.load_fraction
-            self.young_at_migration = self.vm.heap.young_committed
-            self.old_at_migration = self.vm.heap.old_used
-            self.migration_start = self.engine.now
-            self._migrate_deadline = self.engine.now + exp.migration_timeout_s
-            self.migrator.start(self.engine.now)
+            self._launch()
             self.phase = "migrate"
         elif self.phase == "migrate":
-            migrator = self.migrator
-            advance_while(
-                self,
-                lambda: not migrator.done,
-                self._migrate_deadline,
-                exp.migration_timeout_s,
-                checkpointer,
-                limit=limit,
-            )
-            if not migrator.done:
-                if limit is not None and self.engine.now >= limit:
-                    return  # slice boundary; keep migrating next slice
-                raise MigrationError(
-                    "migration did not finish within the timeout"
-                )
+            if not self.supervisor.step(limit, checkpointer, self):
+                return  # slice boundary; keep migrating next slice
+            last = self.supervisor.result.attempts[-1]
+            if not exp.supervised and last.reason == "supervision timeout":
+                raise MigrationError("migration did not finish within the timeout")
             self.migration_end = self.engine.now
             self.phase = "cooldown"
         elif self.phase == "cooldown":
@@ -292,9 +275,54 @@ class ExperimentRun:
                 self.result = self._finish()
                 self.phase = "done"
 
-    def _finish(self) -> ExperimentResult:
+    def _launch(self) -> None:
+        """Warm-up is over: pick the engine (``engine="auto"``), arm the
+        link driver and the fault plan, and build the supervisor."""
+        from repro.core.supervisor import MigrationSupervisor
+
         exp = self.experiment
+        sim, vm, link = self.engine, self.vm, self.link
+        if exp.engine == "auto":
+            from repro.core.auto import choose_engine_live
+
+            self.decision = choose_engine_live(vm, exp.warmup_s, link=link)
+        if hasattr(link, "install"):
+            # A WanLink brings its own driver actor (burst loss,
+            # weather); armed here so weather offsets count from the
+            # migration's start, exactly like a fault plan's.
+            link.install(sim)
+        injector = None
+        if exp.plan is not None:
+            from repro.faults import FaultInjector
+
+            injector = FaultInjector(
+                exp.plan, link=link, lkm=vm.lkm, agent=vm.agent,
+                netlink=vm.kernel.netlink,
+            )
+            if vm.probe.enabled:
+                injector.probe = vm.probe
+            injector.arm(sim.now)
+            sim.add(injector)
+        self.young_at_migration = vm.heap.young_committed
+        self.old_at_migration = vm.heap.old_used
+        self.migration_start = sim.now
+        self.supervisor = MigrationSupervisor(
+            sim, vm, link, engine_name=self.engine_name, injector=injector,
+            **{
+                "attempt_timeout_s": exp.migration_timeout_s,
+                "migrator_kwargs": exp.migrator_kwargs,
+                **(exp.supervision if exp.supervised else ONE_ATTEMPT),
+            },
+        )
+
+    def _finish(self):
         vm = self.vm
+        if vm.probe.enabled:
+            vm.probe.finish(self.engine.now)
+        outcome = self.supervisor.result
+        exp = self.experiment
+        if exp.supervised:
+            return outcome
         analyzer = vm.analyzer
         before = analyzer.mean_throughput(
             start_s=max(0.0, self.migration_start - 15.0),
@@ -305,15 +333,10 @@ class ExperimentRun:
         observed_downtime = analyzer.max_zero_run_seconds(
             start_s=self.migration_start
         )
-        workload_name = (
-            exp.workload if isinstance(exp.workload, str) else exp.workload.name
-        )
-        if vm.probe.enabled:
-            vm.probe.finish(self.engine.now)
         return ExperimentResult(
-            workload=workload_name,
-            engine=self.decision.engine if self.decision is not None else exp.engine,
-            report=self.migrator.report,
+            workload=vm.workload.name,
+            engine=self.engine_name,
+            report=outcome.report,
             throughput=list(analyzer.samples),
             gc_log=list(vm.heap.counters.minor_log),
             young_committed_at_migration=self.young_at_migration,

@@ -33,6 +33,11 @@ Every attempt builds a *fresh* daemon via
 :func:`~repro.core.builders.make_migrator`; the LKM rollback performed
 by the aborted attempt guarantees the guest protocol state machine is
 back in INITIALIZED, so a new ``MigrationBegin`` is always legal.
+
+Every run's migrate phase is a supervision: the run driver
+(:class:`~repro.core.experiment.ExperimentRun`) steps a supervisor
+with the experiment's arguments, or — for a plain run — the degenerate
+one attempt with none of the above.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.checkpoint.runner import Checkpointer, advance_to, advance_while
 from repro.core.builders import JavaVM, make_migrator
+from repro.core.experiment import ExperimentRun, MigrationExperiment
 from repro.core.policy import choose_engine
 from repro.core.rescue import (
     RESCUE_STATES,
@@ -52,7 +59,7 @@ from repro.errors import ConfigurationError, MigrationAbortedError, SimulationEr
 from repro.guest.throttle import DEFAULT_THROTTLE_STAGES, GuestThrottle
 from repro.migration.report import MigrationReport
 from repro.net.link import Link
-from repro.sim.engine import Engine, make_engine
+from repro.sim.engine import Engine
 from repro.sim.rng import SimRng
 from repro.telemetry.analysis.convergence import ConvergenceMonitor, ConvergenceState
 
@@ -269,35 +276,7 @@ class MigrationSupervisor:
             return True
         return consecutive_same_engine >= degrade_after
 
-    # -- checkpoint hooks --------------------------------------------------------------
-
-    @property
-    def probe(self):
-        return self.vm.probe
-
-    def checkpoint_arrays(self) -> dict:
-        """Inspectable numpy mirror: the source page versions."""
-        import numpy as np
-
-        domain = self.vm.domain
-        return {"page_versions": domain.read_pages(np.arange(domain.n_pages))}
-
-    def checkpoint_extra(self) -> dict:
-        extra = {
-            "driver": "supervisor",
-            "state": self._state,
-            "attempt": self._attempt,
-            "engine": self._current,
-            "wait_s": self._wait,
-            "throttle_stage": (
-                self._throttle.stage if self._throttle is not None else 0
-            ),
-            "rescue_compression": self._rescue_compression,
-        }
-        if self.injector is not None:
-            extra["faults_fired"] = len(self.injector.injected)
-            extra["faults_pending"] = len(self.injector._pending)
-        return extra
+    # -- the loop ----------------------------------------------------------------------
 
     def _journal(self, checkpointer, kind: str, **fields) -> None:
         """Write-ahead note of a decision about to take effect."""
@@ -307,50 +286,48 @@ class MigrationSupervisor:
             fields.setdefault("faults_fired", len(self.injector.injected))
         checkpointer.journal.append(kind, self.engine.now, **fields)
 
-    # -- the loop ----------------------------------------------------------------------
-
     def run(self, checkpointer=None) -> SupervisionResult:
         """Drive the retry/degrade state machine to completion.
 
         The machine — ``next`` → (``backoff`` →) ``launch`` →
         ``attempt`` → ``next`` … → ``done`` — keeps all its state on
-        ``self``, so with a *checkpointer* the whole supervisor (engine
-        graph included) is durably snapshotted between engine advances
-        and a crashed run resumes mid-backoff or mid-attempt with its
-        original deadlines.  Without one, behaviour is identical to an
-        unsupervised loop over ``run_until``/``run_while``.
+        ``self``, so with a *checkpointer* the supervisor (engine graph
+        included) is durably snapshotted between engine advances and a
+        crashed run resumes mid-backoff or mid-attempt with its original
+        deadlines.
         """
         while not self.step(math.inf, checkpointer):
             pass
         return self._result
 
     @property
-    def done(self) -> bool:
-        return self._state == "done"
-
-    @property
     def result(self) -> SupervisionResult | None:
-        """The supervision outcome (set once :attr:`done`)."""
+        """The supervision outcome (set once :meth:`step` returns True)."""
         return self._result
 
-    def step(self, limit: float, checkpointer=None) -> bool:
+    def step(self, limit: float, checkpointer=None, controller=None) -> bool:
         """Advance supervision up to the absolute simulated instant
         *limit* — the cooperative-scheduling form of :meth:`run` (see
         :meth:`repro.core.experiment.ExperimentRun.step`).  Every
         engine advance is merely tightened at the slice boundary, so a
         sliced supervision is bit-identical to an unsliced one.
+        Every advance names *controller* as the checkpoint root: the
+        :class:`~repro.core.experiment.ExperimentRun` owning the
+        supervisor, or by default the supervisor itself.  It is passed
+        per call, not kept, so the run and its supervisor form no
+        reference cycle and a finished run is freed at once.
         Returns True once supervision is over (``self.result`` holds
         the outcome)."""
+        if controller is None:
+            controller = self
         if self._state is None:
             self._result = SupervisionResult(
                 ok=False, engine=self.engine_name, report=None
             )
             self._result.degradations.append(self._current)
             self._state = "next"
-        if checkpointer is not None and checkpointer.written == 0:
-            checkpointer.arm(self)
         while self._state != "done" and self.engine.now < limit:
-            self._step_state(limit, checkpointer)
+            self._step_state(limit, checkpointer, controller)
         if self._state == "done":
             if self._throttle is not None and self._throttle.engaged:
                 # Supervision is over either way; leave the guest at its
@@ -360,10 +337,8 @@ class MigrationSupervisor:
             return True
         return False
 
-    def _step_state(self, limit: float | None, checkpointer) -> None:
+    def _step_state(self, limit: float, checkpointer, controller) -> None:
         """Execute one bounded slice of the current state."""
-        from repro.checkpoint.runner import advance_to, advance_while
-
         probe = self.vm.probe
         if self._state == "next":
             if self._attempt > self.max_attempts:
@@ -384,7 +359,8 @@ class MigrationSupervisor:
             else:
                 self._state = "launch"
         elif self._state == "backoff":
-            advance_to(self, self._backoff_until, checkpointer, limit=limit)
+            advance_to(controller, self._backoff_until, checkpointer,
+                       limit=limit)
             if self.engine.now < self._backoff_until:
                 return  # slice boundary mid-backoff
             probe.end(self._span_backoff, self.engine.now)
@@ -393,13 +369,16 @@ class MigrationSupervisor:
             self._state = "launch"
         elif self._state == "launch":
             stall, timeouts, budget = self._scaled_deadlines()
+            # Only the watchdogs that are set reach the daemon: engines
+            # without watchdogs (post-copy) take no such arguments.
+            watchdogs = {}
+            if stall is not None:
+                watchdogs["stall_timeout_s"] = stall
+            if timeouts:
+                watchdogs["phase_timeouts"] = timeouts
             migrator = make_migrator(
-                self._current,
-                self.vm,
-                self.link,
-                stall_timeout_s=stall,
-                phase_timeouts=timeouts,
-                **self.migrator_kwargs,
+                self._current, self.vm, self.link,
+                **watchdogs, **self.migrator_kwargs,
             )
             migrator.report.attempt = self._attempt
             if self._rescue_compression and supports_wire_compression(migrator):
@@ -442,7 +421,7 @@ class MigrationSupervisor:
             )
             self._state = "attempt"
         elif self._state == "attempt":
-            self._run_attempt(checkpointer, advance_while, limit)
+            self._run_attempt(checkpointer, limit, controller)
 
     def _attempt_rescue(self, checkpointer, record: AttemptRecord,
                         diagnosis) -> bool:
@@ -503,7 +482,7 @@ class MigrationSupervisor:
             )
         return True
 
-    def _run_attempt(self, checkpointer, advance_while, limit=None) -> None:
+    def _run_attempt(self, checkpointer, limit: float, controller) -> None:
         """Run the live attempt to completion and digest its outcome.
 
         With a slice *limit*, an interrupted attempt simply returns —
@@ -516,18 +495,14 @@ class MigrationSupervisor:
         try:
             try:
                 advance_while(
-                    self,
+                    controller,
                     lambda: not migrator.finished,
                     self._attempt_deadline,
                     self._attempt_budget_s,
                     checkpointer,
                     limit=limit,
                 )
-                if (
-                    not migrator.finished
-                    and limit is not None
-                    and self.engine.now >= limit
-                ):
+                if not migrator.finished and self.engine.now >= limit:
                     # Slice boundary: leave the migrator (and rescuer)
                     # registered; the attempt continues next slice.
                     return
@@ -648,22 +623,15 @@ class MigrationSupervisor:
         self._state = "next"
 
 
-class SupervisedRun:
-    """The resumable configure/step/report machine behind
-    :func:`supervised_migrate`.
+class SupervisedRun(ExperimentRun):
+    """:func:`supervised_migrate`'s arguments as the one run driver.
 
-    Construction *configures* (engine, guest, link, telemetry sink)
-    without advancing simulated time; :meth:`step` drives warm-up and
-    then the supervisor in bounded slices (the form a session scheduler
-    multiplexes, see :mod:`repro.service`); :attr:`result` is the
-    *report* once done.  :meth:`run` drives the same machine
-    uninterrupted, which keeps the batch path and the multiplexed path
-    one code path — and therefore bit-identical.
-
-    The checkpoint pickle root stays the :class:`MigrationSupervisor`
-    (arming happens inside :meth:`MigrationSupervisor.step`, after
-    warm-up, exactly as before), so existing ``repro resume`` archives
-    keep working; :meth:`from_supervisor` rewraps a restored one.
+    A constructor only: it turns the supervised-run keywords into a
+    :class:`~repro.core.experiment.MigrationExperiment` with
+    ``supervision`` and no cool-down, and the inherited
+    :class:`~repro.core.experiment.ExperimentRun` machine drives it
+    (warm-up, then supervision); :attr:`result` is the
+    :class:`SupervisionResult` once done.
     """
 
     def __init__(
@@ -681,127 +649,20 @@ class SupervisedRun:
         telemetry_sink: object | None = None,
         **supervisor_kwargs,
     ) -> None:
-        from repro.core.builders import build_java_vm
-
-        self.workload = workload
-        self.engine_name = engine_name
-        self.plan = plan
-        self.warmup_s = warmup_s
-        self.dt = dt
-        self.seed = seed
-        self.vm_kwargs = dict(vm_kwargs or {})
-        self.supervisor_kwargs = dict(supervisor_kwargs)
-        self.engine = make_engine(dt, kernel=kernel)
-        self.vm = build_java_vm(
-            workload=workload, seed=seed, telemetry=telemetry, **self.vm_kwargs
-        )
+        vm_kwargs = dict(vm_kwargs or {})
+        sizes = {
+            name: vm_kwargs.pop(name)
+            for name in ("mem_bytes", "max_young_bytes")
+            if name in vm_kwargs
+        }
+        super().__init__(MigrationExperiment(
+            workload=workload, engine=engine_name, link=link,
+            warmup_s=warmup_s, cooldown_s=0.0, dt=dt, kernel=kernel,
+            seed=seed, vm_kwargs=vm_kwargs, telemetry=telemetry,
+            supervision=supervisor_kwargs, plan=plan, **sizes,
+        ))
         if telemetry_sink is not None:
             self.vm.stream_to(telemetry_sink)
-        self.vm.register(self.engine)
-        self.link = link or Link()
-        self.supervisor: MigrationSupervisor | None = None
-        self.phase = "warmup"
-        self.result: SupervisionResult | None = None
-
-    @classmethod
-    def from_supervisor(cls, supervisor: MigrationSupervisor) -> "SupervisedRun":
-        """Rewrap a (checkpoint-restored) supervisor mid-supervision."""
-        run = cls.__new__(cls)
-        run.workload = supervisor.vm.workload.name
-        run.engine_name = supervisor.engine_name
-        run.plan = None
-        run.warmup_s = 0.0
-        run.dt = supervisor.engine.dt
-        run.seed = supervisor.vm.seed if hasattr(supervisor.vm, "seed") else 0
-        run.vm_kwargs = {}
-        run.supervisor_kwargs = {}
-        run.engine = supervisor.engine
-        run.vm = supervisor.vm
-        run.link = supervisor.link
-        run.supervisor = supervisor
-        run.phase = "done" if supervisor.done else "supervise"
-        run.result = supervisor.result if supervisor.done else None
-        return run
-
-    @property
-    def probe(self):
-        return self.vm.probe
-
-    @property
-    def done(self) -> bool:
-        return self.phase == "done"
-
-    @property
-    def live_migrator(self):
-        """The current attempt's migrator, or None before the first."""
-        return None if self.supervisor is None else self.supervisor._migrator
-
-    @property
-    def attempt(self) -> int:
-        return 1 if self.supervisor is None else self.supervisor._attempt
-
-    def _launch(self) -> None:
-        """Warm-up is over: install the link driver, arm the fault
-        plan, and build the supervisor — the exact post-warmup sequence
-        (and order) the one-shot path always ran."""
-        from repro.faults import FaultInjector
-
-        sim = self.engine
-        vm = self.vm
-        link = self.link
-        if hasattr(link, "install"):
-            # A WanLink brings its own driver actor (burst loss,
-            # weather); armed here so weather offsets count from the
-            # supervised migration's start, exactly like a fault plan's.
-            link.install(sim)
-        injector = None
-        if self.plan is not None:
-            # Registered only now, after warm-up, so the plan's t=0 is
-            # the supervised migration's start rather than guest boot.
-            injector = FaultInjector(
-                self.plan,
-                link=link,
-                lkm=vm.lkm,
-                agent=vm.agent,
-                netlink=vm.kernel.netlink,
-            )
-            if vm.probe.enabled:
-                injector.probe = vm.probe
-            injector.arm(sim.now)
-            sim.add(injector)
-        self.supervisor = MigrationSupervisor(
-            sim, vm, link, engine_name=self.engine_name, injector=injector,
-            **self.supervisor_kwargs,
-        )
-
-    def step(self, limit: float, checkpointer=None) -> bool:
-        """Advance up to the absolute simulated instant *limit*; True
-        once supervision is over (``self.result`` holds the outcome).
-
-        Warm-up advances without the checkpointer — identical to the
-        one-shot path, where checkpoint coverage starts with the
-        supervisor (there is nothing to resume before it exists)."""
-        from repro.checkpoint.runner import advance_to
-
-        if self.phase == "warmup":
-            if self.warmup_s > 0:
-                advance_to(self, self.warmup_s, None, limit=limit)
-                if self.engine.now < self.warmup_s:
-                    return False
-            self._launch()
-            self.phase = "supervise"
-        if self.phase == "supervise":
-            if self.supervisor.step(limit, checkpointer):
-                if self.vm.probe.enabled:
-                    self.vm.probe.finish(self.engine.now)
-                self.result = self.supervisor.result
-                self.phase = "done"
-        return self.phase == "done"
-
-    def run(self, checkpointer=None) -> SupervisionResult:
-        while not self.step(math.inf, checkpointer):
-            pass
-        return self.result
 
 
 def supervised_migrate(
@@ -826,8 +687,8 @@ def supervised_migrate(
     source).  *plan* is a :class:`~repro.faults.FaultPlan`; its injector
     is bound to the link, LKM, agent and netlink bus, and re-bound to
     each attempt's daemon.  *checkpoint* is a
-    :class:`~repro.checkpoint.CheckpointConfig`; with one, the
-    supervisor writes durable cadence checkpoints a crashed process can
+    :class:`~repro.checkpoint.CheckpointConfig`; with one, the run
+    writes durable cadence checkpoints (from t=0) a crashed process can
     resume from (:func:`repro.checkpoint.resume`).  *telemetry_sink* is
     a :class:`~repro.telemetry.live.StreamSink`: instants, samples and
     events are mirrored onto it as they happen (``repro watch`` tails
@@ -850,10 +711,5 @@ def supervised_migrate(
         telemetry_sink=telemetry_sink,
         **supervisor_kwargs,
     )
-    checkpointer = None
-    if checkpoint is not None:
-        from repro.checkpoint import Checkpointer
-
-        checkpointer = Checkpointer(checkpoint)
-    outcome = run.run(checkpointer)
+    outcome = run.run(None if checkpoint is None else Checkpointer(checkpoint))
     return outcome, run.vm

@@ -92,26 +92,50 @@ class ServiceDaemon:
             if op == "stop_and_copy":
                 return protocol.ok(session=manager.stop_and_copy(session_id))
             if op == "abort":
-                return protocol.ok(
-                    session=manager.abort(
-                        session_id, request.get("reason", "operator abort")
-                    )
-                )
+                reason = request.get("reason", "operator abort")
+                if not isinstance(reason, str):
+                    return protocol.error("an abort reason must be a string")
+                return protocol.ok(session=manager.abort(session_id, reason))
             if op == "finalize":
                 return protocol.ok(result=manager.finalize(session_id))
         except ConfigurationError as exc:  # SessionError and bad specs
             return protocol.error(str(exc))
+        except Exception as exc:  # noqa: BLE001 — a failed verb is
+            # answered, never allowed to drop the connection.
+            return protocol.error(f"{op} failed: {type(exc).__name__}: {exc}")
         return protocol.error(f"unhandled op {op!r}")  # pragma: no cover
 
     # -- the loop -----------------------------------------------------------------------
 
+    @staticmethod
+    async def _readline(reader) -> bytes | None:
+        """The next request line (b"" at end of stream), or None for a
+        line over the stream limit, discarded through its newline."""
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial  # the last, unterminated line
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        while True:
+            try:
+                await reader.readexactly(consumed)
+                await reader.readuntil(b"\n")
+                return None
+            except asyncio.LimitOverrunError as exc:
+                consumed = exc.consumed
+            except asyncio.IncompleteReadError:
+                return b""  # the stream ended inside the over-long line
+
     async def _client(self, reader, writer) -> None:
         try:
             while not self._stop.is_set():
-                line = await reader.readline()
-                if not line:
+                line = await self._readline(reader)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise ValueError("line longer than the stream limit")
                     request = protocol.decode(line)
                 except ValueError as exc:
                     response = protocol.error(f"bad request: {exc}")

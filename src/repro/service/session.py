@@ -1,10 +1,9 @@
 """Migration sessions: one controllable migration, steppable in slices.
 
-A :class:`MigrationSession` wraps the bounded-slice drivers from
-:mod:`repro.core` — :class:`~repro.core.experiment.ExperimentRun` for a
-plain migration, :class:`~repro.core.supervisor.SupervisedRun` for a
-supervised one — behind the control-verb surface the manager (and the
-``repro ctl`` socket protocol) exposes:
+A :class:`MigrationSession` wraps the one bounded-slice run driver,
+:class:`~repro.core.experiment.ExperimentRun` (plain or supervised),
+behind the control-verb surface the manager (and the ``repro ctl``
+socket protocol) exposes:
 
 ``submit → (admit) → running ⇄ paused → done | aborted | failed →
 finalized``
@@ -173,69 +172,48 @@ class SessionConfig:
         ))
 
     def build_driver(self, sink=None):
-        """The bounded-slice driver for this spec (configure phase),
-        with *sink* streaming its telemetry when telemetry is on.
+        """The run driver for this spec (configure phase), with *sink*
+        streaming its telemetry when telemetry is on.
 
-        One of the three places that tell a plain run from a supervised
-        one (with :func:`restored_driver` and :func:`run_payload`).
+        One of the two places that tell a plain run from a supervised
+        one (with :func:`run_payload`): a supervised spec gets the
+        supervisor's arguments and no cool-down.
         """
-        vm_kwargs = {
-            "mem_bytes": MiB(self.mem_mb),
-            "max_young_bytes": MiB(self.young_mb),
-        }
-        if self.supervise:
-            from repro.core.supervisor import SupervisedRun
+        from repro.core.experiment import ExperimentRun, MigrationExperiment
 
-            link = None  # SupervisedRun defaults to a plain Link()
+        supervision = link = None
+        if self.supervise:
+            supervision = {
+                "max_attempts": self.max_attempts,
+                "rescue": self.rescue,
+                "scale_timeouts": self.rescue,
+            }
             if self.wan:
                 from repro.net import wan_link
 
                 link = wan_link(self.wan, seed=self.seed)
-            driver = SupervisedRun(
-                workload=self.workload,
-                # the supervisor has no "auto" mode
-                engine_name="javmm" if self.engine == "auto" else self.engine,
-                link=link,
-                warmup_s=self.warmup_s,
-                dt=self.dt,
-                kernel=self.kernel,
-                seed=self.seed,
-                vm_kwargs=vm_kwargs,
-                max_attempts=self.max_attempts,
-                telemetry=self.telemetry,
-                rescue=self.rescue,
-                scale_timeouts=self.rescue,
-            )
-        else:
-            from repro.core.experiment import ExperimentRun, MigrationExperiment
-
-            driver = ExperimentRun(MigrationExperiment(
-                workload=self.workload,
-                engine=self.engine,
-                warmup_s=self.warmup_s,
-                cooldown_s=self.cooldown_s,
-                dt=self.dt,
-                kernel=self.kernel,
-                seed=self.seed,
-                migration_timeout_s=self.migration_timeout_s,
-                telemetry=self.telemetry,
-                **vm_kwargs,
-            ))
+        engine = self.engine
+        if self.supervise and engine == "auto":
+            engine = "javmm"  # supervised specs have always run "auto" as javmm
+        driver = ExperimentRun(MigrationExperiment(
+            workload=self.workload, engine=engine, mem_bytes=MiB(self.mem_mb),
+            max_young_bytes=MiB(self.young_mb), link=link,
+            warmup_s=self.warmup_s,
+            cooldown_s=0.0 if self.supervise else self.cooldown_s,
+            dt=self.dt, kernel=self.kernel, seed=self.seed,
+            migration_timeout_s=self.migration_timeout_s,
+            telemetry=self.telemetry, supervision=supervision,
+        ))
         if sink is not None:
             driver.vm.stream_to(sink)
         return driver
 
 
 def restored_driver(root):
-    """Rewrap a checkpoint's pickle root as a driver: a restored
-    :class:`~repro.core.supervisor.MigrationSupervisor` continues inside
-    a :class:`~repro.core.supervisor.SupervisedRun`, an
-    :class:`~repro.core.experiment.ExperimentRun` as it is."""
+    """A checkpoint's pickle root as a driver: an
+    :class:`~repro.core.experiment.ExperimentRun` continues as it is."""
     from repro.core.experiment import ExperimentRun
-    from repro.core.supervisor import MigrationSupervisor, SupervisedRun
 
-    if isinstance(root, MigrationSupervisor):
-        return SupervisedRun.from_supervisor(root)
     if isinstance(root, ExperimentRun):
         return root
     raise CheckpointError(
@@ -333,9 +311,7 @@ def supervised_payload(result, vm, link=None) -> dict:
 def run_payload(driver) -> dict:
     """The JSON result of a finished driver — what ``repro migrate
     --json`` and ``repro resume --json`` print and a session stores."""
-    from repro.core.supervisor import SupervisedRun
-
-    if isinstance(driver, SupervisedRun):
+    if driver.experiment.supervised:
         return supervised_payload(driver.result, driver.vm, driver.link)
     return experiment_payload(driver.result, driver.vm, driver.link)
 

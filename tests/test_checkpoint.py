@@ -297,13 +297,14 @@ def _experiment(seed: int = 7, kernel: str = "fixed") -> MigrationExperiment:
 def test_experiment_checkpoint_restore_telemetry(tmp_path):
     exp = _experiment()
     exp.telemetry = True
+    config = {"workload": "derby", "seed": 7}
     cfg = CheckpointConfig(directory=str(tmp_path), every_s=2.0,
                            crash_at_tick=1500, max_overhead=None,
-                           config=exp.config_fingerprint())
+                           config=config)
     with pytest.raises(SimulatedCrash):
         ExperimentRun(exp).run(Checkpointer(cfg))
 
-    resumed = resume(str(tmp_path), expect_config=exp.config_fingerprint())
+    resumed = resume(str(tmp_path), expect_config=config)
     ctl = resumed.controller
     result = ctl.run(resumed.checkpointer(every_s=2.0, max_overhead=None))
     assert not result.report.aborted
@@ -318,12 +319,11 @@ def test_resume_refuses_wrong_config(tmp_path):
     exp = _experiment(seed=7)
     cfg = CheckpointConfig(directory=str(tmp_path), every_s=2.0,
                            crash_at_tick=1500, max_overhead=None,
-                           config=exp.config_fingerprint())
+                           config={"workload": "derby", "seed": 7})
     with pytest.raises(SimulatedCrash):
         ExperimentRun(exp).run(Checkpointer(cfg))
-    other = _experiment(seed=8)
     with pytest.raises(CheckpointSchemaError, match="different"):
-        resume(str(tmp_path), expect_config=other.config_fingerprint())
+        resume(str(tmp_path), expect_config={"workload": "derby", "seed": 8})
 
 
 def test_resumed_run_keeps_the_config_hash(tmp_path):
@@ -334,7 +334,7 @@ def test_resumed_run_keeps_the_config_hash(tmp_path):
         seed=7, **VM_KWARGS,
     )
     baseline = ExperimentRun(exp).run()
-    fingerprint = exp.config_fingerprint()
+    fingerprint = {"workload": "crypto", "seed": 7}
     cfg = CheckpointConfig(directory=str(tmp_path), every_s=0.5,
                            crash_at_tick=500, max_overhead=None,
                            config=fingerprint)
@@ -378,7 +378,7 @@ def test_supervisor_resumes_mid_run_state(tmp_path):
         )
 
     resumed = resume(str(tmp_path))
-    sup = resumed.controller
+    sup = resumed.controller.supervisor
     # mid-run machine state restored, not reset
     assert sup._state in ("backoff", "attempt", "launch", "next")
     assert sup._attempt >= 1
@@ -409,3 +409,22 @@ def test_supervisor_resumes_mid_run_state(tmp_path):
     kinds = [e["kind"] for e in resumed.journal.replay()]
     assert "attempt-started" in kinds
     assert "backoff" in kinds
+
+
+def test_archive_from_the_two_driver_layout_is_refused(tmp_path, monkeypatch):
+    """Archives rooted at a bare MigrationSupervisor (state v1, written
+    before the run became the only checkpoint root) are refused with a
+    schema error rather than mis-restored."""
+    from repro.checkpoint import archive
+    from repro.core import MigrationSupervisor, build_java_vm
+    from repro.net.link import Link
+
+    engine = make_engine(0.005)
+    vm = build_java_vm(workload="derby", **VM_KWARGS)
+    vm.register(engine)
+    root = MigrationSupervisor(engine, vm, Link())
+    monkeypatch.setattr(archive, "STATE_VERSION", 1)
+    write_checkpoint(tmp_path, engine, root=root)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointSchemaError, match="v1"):
+        resume(str(tmp_path))

@@ -106,14 +106,15 @@ def test_experiment_crash_resume_equivalence(tmp_path, workload, engine, kernel)
 
     exp = _experiment(workload, engine, kernel)
     crash_at = _crash_tick(f"{workload}-{engine}-{kernel}", 400, 1100)
+    config = {"workload": workload, "engine": engine, "kernel": kernel}
     cfg = CheckpointConfig(
         directory=str(tmp_path), every_s=1.0, max_overhead=None,
-        crash_at_tick=crash_at, config=exp.config_fingerprint(),
+        crash_at_tick=crash_at, config=config,
     )
     with pytest.raises(SimulatedCrash):
         ExperimentRun(exp).run(Checkpointer(cfg))
 
-    resumed = resume(str(tmp_path), expect_config=exp.config_fingerprint())
+    resumed = resume(str(tmp_path), expect_config=config)
     ctl = resumed.controller
     result = ctl.run(resumed.checkpointer(every_s=1.0, max_overhead=None))
     _assert_identical(expected, _fingerprint(ctl.vm, result.report))
@@ -128,7 +129,7 @@ def test_checkpointing_is_invisible(tmp_path):
     ckpt = ExperimentRun(exp)
     cfg = CheckpointConfig(directory=str(tmp_path), every_s=1.0,
                            max_overhead=None,
-                           config=exp.config_fingerprint())
+                           config={"workload": "derby", "engine": "javmm"})
     ck = Checkpointer(cfg)
     result = ckpt.run(ck)
     assert ck.written >= 3  # it really did checkpoint along the way
@@ -189,6 +190,33 @@ def test_supervised_crash_resume_equivalence(tmp_path, monkeypatch,
     _assert_identical(expected, _fingerprint(sup.vm, outcome.report))
 
 
+def test_supervised_warmup_crash_resumes_bit_identical(tmp_path):
+    """The run is the checkpoint root from t=0 for supervised runs too:
+    a crash before warm-up ends resumes from a warm-up checkpoint and
+    lands on the uninterrupted run's bits."""
+    kwargs = dict(
+        workload="derby", engine_name="javmm", warmup_s=4.0, seed=11,
+        vm_kwargs=dict(VM_KWARGS), max_attempts=3, backoff_s=0.5,
+    )
+    baseline, vm_b = supervised_migrate(plan=_plan("link"), **kwargs)
+    expected = _fingerprint(vm_b, baseline.report)
+
+    cfg = CheckpointConfig(directory=str(tmp_path), every_s=0.5,
+                           crash_at_tick=500,  # t=2.5s, inside warm-up
+                           max_overhead=None)
+    with pytest.raises(SimulatedCrash):
+        supervised_migrate(plan=_plan("link"), checkpoint=cfg, **kwargs)
+
+    resumed = resume(str(tmp_path))
+    assert resumed.archive.manifest["extra"]["phase"] == "warmup"
+    assert resumed.archive.manifest["extra"]["driver"] == "supervisor"
+    run = resumed.controller
+    outcome = run.run(resumed.checkpointer(every_s=0.5, max_overhead=None))
+    assert outcome.ok == baseline.ok
+    assert outcome.n_attempts == baseline.n_attempts
+    _assert_identical(expected, _fingerprint(run.vm, outcome.report))
+
+
 # -- SIGKILL across a real process boundary --------------------------------------------
 
 _CLI = [sys.executable, "-c", "from repro.cli import main; raise SystemExit(main())"]
@@ -210,14 +238,18 @@ def _cli_digest(args: list[str]) -> str:
     return json.loads(proc.stdout)["final_digest"]
 
 
-@pytest.mark.parametrize("kernel", ["fixed", "event"])
-def test_sigkill_crash_resume_digest(tmp_path, kernel):
+@pytest.mark.parametrize(
+    "kernel,extra",
+    [("fixed", []), ("event", []), ("fixed", ["--supervise"])],
+    ids=["fixed", "event", "fixed-supervise"],
+)
+def test_sigkill_crash_resume_digest(tmp_path, kernel, extra):
     """Kill a checkpointing CLI run with SIGKILL mid-flight; resuming in
     a fresh process must reproduce the uninterrupted run's digest."""
     args = [
         "migrate", "--workload", "derby", "--engine", "javmm",
         "--mem-mb", "512", "--young-mb", "128", "--kernel", kernel,
-        "--json",
+        "--json", *extra,
     ]
     expected = _cli_digest(args)
 

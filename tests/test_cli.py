@@ -137,5 +137,5 @@ def test_one_flags_to_spec_function_serves_migrate_and_submit():
     wan = spec("migrate", *SMALL_MIGRATE, "--wan", "metro", "--no-rescue")
     assert wan.supervise and not wan.rescue and wan.warmup_s == 5.0
     driver = wan.build_driver()
-    assert driver.supervisor_kwargs["rescue"] is False
-    assert driver.supervisor_kwargs["scale_timeouts"] is False
+    assert driver.experiment.supervision["rescue"] is False
+    assert driver.experiment.supervision["scale_timeouts"] is False

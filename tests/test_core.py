@@ -5,7 +5,7 @@ import pytest
 from repro.core.builders import ENGINE_NAMES, build_java_vm, make_migrator
 from repro.core.experiment import MigrationExperiment
 from repro.core.policy import choose_engine
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MigrationError
 from repro.net.link import Link
 from repro.units import GiB, MiB
 from repro.workloads.spec import REGISTRY, get_workload
@@ -126,3 +126,12 @@ def test_policy_estimates_are_positive():
     decision = choose_engine(REGISTRY["derby"], GiB(1))
     assert decision.estimated_javmm_downtime_s > 0
     assert decision.estimated_xen_downtime_s > 0
+
+
+def test_plain_run_past_its_timeout_raises():
+    exp = MigrationExperiment(
+        workload="derby", mem_bytes=MiB(512), max_young_bytes=MiB(128),
+        warmup_s=1.0, cooldown_s=1.0, migration_timeout_s=0.5, seed=7,
+    )
+    with pytest.raises(MigrationError, match="did not finish within the timeout"):
+        exp.run()

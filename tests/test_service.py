@@ -317,6 +317,11 @@ BAD_REQUESTS = [
     ({"op": "submit", "config": {"wan": "lunar"}}, "unknown wan"),
     ({"op": "submit", "config": {"kernel": "quantum"}}, "unknown kernel"),
     ({"op": "submit", "config": {"supervise": "yes"}}, "supervise"),
+    ({"op": "ping", "pad": "x" * (1 << 17)}, "bad request"),  # > 64 KiB line
+    ({"op": "abort", "id": "s0001-derby", "reason": 5}, "must be a string"),
+    # a handler failure outside validation: the session directory name
+    # is longer than the filesystem allows
+    ({"op": "submit", "config": {"name": "n" * 300}}, "OSError"),
 ]
 
 
@@ -363,3 +368,13 @@ def test_shutdown_stops_the_daemon(tmp_path):
     assert proc.returncode == 0
     with pytest.raises(Exception):
         client.request("ping")
+
+
+def test_supervised_spec_honours_the_migration_timeout():
+    """``migration_timeout_s`` is a supervised run's attempt budget."""
+    payload = run_standalone(small_config(
+        supervise=True, max_attempts=1, migration_timeout_s=0.5,
+    ))
+    assert payload["ok"] is False
+    (attempt,) = payload["attempts"]
+    assert attempt["aborted"] and attempt["reason"] == "supervision timeout"
