@@ -89,6 +89,28 @@ class JavaVM:
             engine.add(actor)
         return engine
 
+    def unwire(self) -> None:
+        """Undo :func:`build_java_vm`'s wiring, and the migrator's hooks
+        into the guest, once the guest will never run again.
+
+        The wiring is a web of reference cycles (kernel and process,
+        LKM and its netlink, /proc and channel endpoints, heap and JVM
+        callbacks into the agent and the migrator), so without this a
+        finished guest — gigabytes of page state — waits for the cyclic
+        garbage collector.  Afterwards the object graph is a tree and is
+        freed by reference counting the moment its owner lets go.  The
+        domain's pages, the analyzer's samples, the event log and every
+        trace stay readable.
+        """
+        jvm = self.jvm
+        jvm.migration_load = None
+        jvm.on_enforced_ready = None
+        jvm.heap.on_young_shrunk = None
+        self.lkm.unwire()
+        self.kernel.netlink.close()
+        for process in self.kernel.processes:
+            self.kernel.reap(process)
+
     def stream_to(self, sink) -> None:
         """Mirror the guest's telemetry and event log onto a
         :class:`~repro.telemetry.live.StreamSink` as they happen (a

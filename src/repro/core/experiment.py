@@ -166,7 +166,8 @@ class ExperimentRun:
     with nothing recomputed.  :attr:`result` is an
     :class:`ExperimentResult` for a plain run and the
     :class:`~repro.core.supervisor.SupervisionResult` for a supervised
-    one.
+    one.  Entering ``done`` unwires the guest (:meth:`JavaVM.unwire`),
+    so a finished run is freed as soon as its owner drops it.
     """
 
     def __init__(self, experiment: MigrationExperiment) -> None:
@@ -274,6 +275,7 @@ class ExperimentRun:
             if self.engine.now >= target:
                 self.result = self._finish()
                 self.phase = "done"
+                self.vm.unwire()
 
     def _launch(self) -> None:
         """Warm-up is over: pick the engine (``engine="auto"``), arm the

@@ -146,8 +146,22 @@ class AssistLKM(Actor):
     # -- wiring -------------------------------------------------------------------
 
     def attach_event_channel(self, chan: EventChannel) -> None:
+        if self._chan is not None and self._chan is not chan:
+            # A new daemon supersedes the old one (a supervisor's next
+            # attempt).  Close the old channel, or the retired daemon and
+            # its channel keep each other, and this guest, alive.
+            self._chan.unbind()
         self._chan = chan
         chan.bind_guest(self._on_daemon_message)
+
+    def unwire(self) -> None:
+        """Drop the module's own endpoints once the guest has stopped
+        for good: both ends of the event channel and the /proc entry.
+        (The kernel's :meth:`NetlinkBus.close` drops the netlink side.)
+        State and statistics stay readable."""
+        if self._chan is not None:
+            self._chan.unbind()
+        self.proc_entry.close()
 
     def register_app(self, app_id: int, process: Process) -> None:
         """Associate a netlink subscriber with its process (page table)."""

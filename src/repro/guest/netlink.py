@@ -38,6 +38,13 @@ class NetlinkBus:
     def bind_kernel(self, handler: KernelHandler) -> None:
         self._kernel_handler = handler
 
+    def close(self) -> None:
+        """Drop the kernel endpoint, every subscriber and any fault
+        filter; the message logs stay readable."""
+        self._kernel_handler = None
+        self._subscribers.clear()
+        self.fault_filter = None
+
     def multicast(self, message: Any, _bypass_faults: bool = False) -> int:
         """Deliver *message* to every subscriber; returns receiver count."""
         if self.fault_filter is not None and not _bypass_faults:

@@ -28,8 +28,14 @@ class ProcEntry:
         self._handler = handler
         self.lines_written: int = 0
 
+    def close(self) -> None:
+        """Drop the handler; later writes are refused."""
+        self._handler = None
+
     def write(self, text: str) -> int:
         """Parse and deliver each non-empty line; returns bytes consumed."""
+        if self._handler is None:
+            raise ProtocolError(f"{self.path} is closed")
         for raw in text.splitlines():
             line = raw.strip()
             if not line:

@@ -38,6 +38,17 @@ class PageTable:
 
     def __init__(self) -> None:
         self._vmas: list[_Vma] = []  # sorted by start_vpn, non-overlapping
+        #: ``start_vpn`` of each VMA, in step with ``_vmas`` (bisect key)
+        self._starts: list[int] = []
+
+    def __getstate__(self) -> dict:
+        # ``_starts`` is derived: leave it out so the pickled form (and
+        # every archive written before it existed) stays ``_vmas`` alone.
+        return {"_vmas": self._vmas}
+
+    def __setstate__(self, state: dict) -> None:
+        self._vmas = state["_vmas"]
+        self._starts = [vma.start_vpn for vma in self._vmas]
 
     # -- mapping ---------------------------------------------------------------
 
@@ -52,12 +63,13 @@ class PageTable:
             )
         if n == 0:
             return
-        idx = bisect.bisect_right(self._starts(), start_vpn)
+        idx = bisect.bisect_right(self._starts, start_vpn)
         if idx > 0 and self._vmas[idx - 1].end_vpn > start_vpn:
             raise AddressError(f"mapping overlaps existing VMA at vpn {start_vpn}")
         if idx < len(self._vmas) and self._vmas[idx].start_vpn < end_vpn:
             raise AddressError(f"mapping overlaps existing VMA before vpn {end_vpn}")
         self._vmas.insert(idx, _Vma(start_vpn, pfns.copy()))
+        self._starts.insert(idx, start_vpn)
 
     def unmap_range(self, r: VARange) -> np.ndarray:
         """Unmap the page-aligned range *r*; returns the PFNs released.
@@ -91,6 +103,7 @@ class PageTable:
             )
         remaining.sort(key=lambda v: v.start_vpn)
         self._vmas = remaining
+        self._starts = [vma.start_vpn for vma in remaining]
         return np.concatenate(released) if released else np.empty(0, dtype=np.int64)
 
     def remap_page(self, va: int, new_pfn: int) -> int:
@@ -125,16 +138,29 @@ class PageTable:
         silently absent from the result; ``strict=True`` raises instead.
         """
         start_vpn, end_vpn = page_span_inner(r)
+        # The last VMA starting at or before start_vpn is the first that
+        # can overlap the range; end_vpn is inlined on this hot path.
+        first = max(0, bisect.bisect_right(self._starts, start_vpn) - 1)
+        if first < len(self._vmas):
+            vma = self._vmas[first]
+            lo = start_vpn - vma.start_vpn
+            hi = end_vpn - vma.start_vpn
+            if 0 <= lo and hi <= len(vma.pfns):
+                # The common case: one VMA holds the whole range.  A copy,
+                # since callers may keep or mutate the result.
+                return vma.pfns[lo:hi].copy()
         out: list[np.ndarray] = []
         found = 0
-        for vma in self._vmas:
-            if vma.end_vpn <= start_vpn:
-                continue
-            if vma.start_vpn >= end_vpn:
+        for vma in self._vmas[first:]:
+            vma_start = vma.start_vpn
+            if vma_start >= end_vpn:
                 break
-            lo = max(vma.start_vpn, start_vpn)
-            hi = min(vma.end_vpn, end_vpn)
-            out.append(vma.pfns[lo - vma.start_vpn : hi - vma.start_vpn])
+            pfns = vma.pfns
+            lo = max(vma_start, start_vpn)
+            hi = min(vma_start + len(pfns), end_vpn)
+            if hi <= lo:
+                continue
+            out.append(pfns[lo - vma_start : hi - vma_start])
             found += hi - lo
         if strict and found != end_vpn - start_vpn:
             raise TranslationFault(
@@ -159,11 +185,8 @@ class PageTable:
 
     # -- internals ---------------------------------------------------------------
 
-    def _starts(self) -> list[int]:
-        return [vma.start_vpn for vma in self._vmas]
-
     def _find_vma(self, vpn: int) -> _Vma | None:
-        idx = bisect.bisect_right(self._starts(), vpn) - 1
+        idx = bisect.bisect_right(self._starts, vpn) - 1
         if idx >= 0:
             vma = self._vmas[idx]
             if vma.start_vpn <= vpn < vma.end_vpn:

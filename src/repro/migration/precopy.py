@@ -53,6 +53,9 @@ DEFAULT_RESUME_DELAY_S = 0.17
 CPU_S_PER_BYTE_RESCUE_COMPRESSED = 12.0 / GIB
 
 _CHUNK = 16384  # pages examined per vectorized batch
+#: Extra pages the pump scans past the budget's page count before it
+#: widens its window (see :meth:`PrecopyMigrator._pump`).
+_SCAN_SLACK = 64
 
 
 def _sorted_ledger(ledger: dict) -> dict:
@@ -538,18 +541,36 @@ class PrecopyMigrator(Actor):
         return "redirty"
 
     def _pump(self, now: float) -> None:
-        """Move pages until the byte budget or the pending set runs out."""
+        """Move pages until the byte budget or the pending set runs out.
+
+        Each pass handles one *logical chunk*: ``_pending[cursor :
+        cursor + _CHUNK]``, cut just before the (limit+1)-th sendable
+        page.  The scan hooks are pure reads, so they are evaluated
+        only over a window that starts at ``limit + _SCAN_SLACK`` pages
+        and widens fourfold until the cut is found, ``_CHUNK`` is
+        reached or ``_pending`` ends — a 1 GbE tick sends ~150 pages,
+        not 16384.  Everything after the scan runs once per logical
+        chunk on the same operands as a full-chunk scan, so every float
+        sum is bit-identical whatever the window.
+        """
         wire_cost = self._page_wire_cost()
         dirty_log = self.domain.dirty_log
         dest = self.dest_domain
         assert dest is not None
         while self._cursor < len(self._pending) and self._budget >= wire_cost:
-            chunk = self._pending[self._cursor : self._cursor + _CHUNK]
-            allowed = self._transfer_allowed(chunk)
-            re_dirtied = dirty_log.dirty_mask(chunk)
-            send_mask = allowed & ~re_dirtied
             limit = int(self._budget // wire_cost)
-            cum = np.cumsum(send_mask)
+            stop = min(self._cursor + _CHUNK, len(self._pending))
+            width = limit + _SCAN_SLACK
+            while True:
+                end = min(self._cursor + width, stop)
+                chunk = self._pending[self._cursor : end]
+                allowed = self._transfer_allowed(chunk)
+                re_dirtied = dirty_log.dirty_mask(chunk)
+                send_mask = allowed & ~re_dirtied
+                cum = np.cumsum(send_mask)
+                if end == stop or cum[-1] > limit:
+                    break
+                width *= 4
             if cum.size and cum[-1] > limit:
                 # Budget ends inside this chunk: take the longest prefix
                 # whose send count fits.

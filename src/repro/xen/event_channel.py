@@ -41,6 +41,11 @@ class EventChannel:
     def bind_guest(self, handler: Handler) -> None:
         self._guest_handler = handler
 
+    def unbind(self) -> None:
+        """Drop both endpoints; the trace stays readable."""
+        self._daemon_handler = None
+        self._guest_handler = None
+
     def _now(self) -> float:
         return self.now_fn() if self.now_fn else 0.0
 

@@ -1,5 +1,7 @@
 """Per-process page tables and the LKM's page-table walks."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,62 @@ def test_empty_range_ops_are_noops():
     assert pt.mapped_pages() == 0
     assert list(pt.unmap_range(_r(5, 5))) == []
     assert list(pt.walk(_r(0, 0))) == []
+
+
+def _three_vmas() -> PageTable:
+    """VMAs at pages [0, 4), [10, 14) and [20, 24), mapped out of order."""
+    pt = PageTable()
+    pt.map_range(_r(20, 24), np.arange(200, 204))
+    pt.map_range(_r(0, 4), np.arange(0, 4))
+    pt.map_range(_r(10, 14), np.arange(100, 104))
+    return pt
+
+
+def test_walk_starting_inside_a_later_vma():
+    pt = _three_vmas()
+    assert list(pt.walk(_r(12, 14))) == [102, 103]
+    assert list(pt.walk(_r(21, 23))) == [201, 202]
+    assert list(pt.walk(_r(13, 22))) == [103, 200, 201]
+
+
+def test_walks_across_holes_strict_and_lenient():
+    pt = _three_vmas()
+    assert list(pt.walk(_r(2, 22))) == [2, 3, 100, 101, 102, 103, 200, 201]
+    assert list(pt.walk(_r(5, 9))) == []
+    assert list(pt.walk(_r(24, 30))) == []
+    assert list(pt.walk(_r(11, 13), strict=True)) == [101, 102]
+    for r in (_r(2, 22), _r(5, 9), _r(13, 15), _r(22, 25)):
+        with pytest.raises(TranslationFault):
+            pt.walk(r, strict=True)
+
+
+def test_single_vma_walk_result_is_a_copy():
+    pt = _three_vmas()
+    got = pt.walk(_r(10, 14))
+    got[:] = -1
+    assert list(pt.walk(_r(10, 14))) == [100, 101, 102, 103]
+    assert pt.translate(11 * PAGE_SIZE) == 101
+
+
+def test_lookups_follow_maps_and_unmaps():
+    pt = _three_vmas()
+    pt.unmap_range(_r(11, 13))
+    pt.map_range(_r(5, 7), np.array([50, 51]))
+    assert pt.mapped_ranges() == [_r(0, 4), _r(5, 7), _r(10, 11), _r(13, 14), _r(20, 24)]
+    assert pt.translate(6 * PAGE_SIZE) == 51
+    assert pt.translate(13 * PAGE_SIZE) == 103
+    assert not pt.is_mapped(12 * PAGE_SIZE)
+    assert list(pt.walk(_r(6, 14))) == [51, 100, 103]
+    with pytest.raises(AddressError):
+        pt.map_range(_r(12, 14), np.array([1, 2]))
+
+
+def test_pickle_round_trip_rebuilds_the_start_list():
+    pt = _three_vmas()
+    state = pt.__getstate__()
+    assert set(state) == {"_vmas"}  # derived state is not stored
+    restored = pickle.loads(pickle.dumps(pt))
+    assert restored.mapped_ranges() == pt.mapped_ranges()
+    assert list(restored.walk(_r(13, 22))) == [103, 200, 201]
+    restored.map_range(_r(5, 7), np.array([50, 51]))
+    assert restored.translate(5 * PAGE_SIZE) == 50
