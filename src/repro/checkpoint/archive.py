@@ -42,8 +42,10 @@ CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 
 #: version of the pickled ``state.pkl`` envelope.  v2: a driver root is
 #: always an :class:`~repro.core.experiment.ExperimentRun` (v1 archives
-#: could hold a bare ``MigrationSupervisor``, which no longer resumes)
-STATE_VERSION = 2
+#: could hold a bare ``MigrationSupervisor``, which no longer resumes).
+#: v3: the TI agent is a :class:`~repro.guest.participant.RuntimeParticipant`
+#: (its runtime is ``runtime``, and ``_enforced_in_flight`` is gone)
+STATE_VERSION = 3
 
 _CKPT_RE = re.compile(r"^ckpt-(\d+)$")
 

@@ -47,7 +47,6 @@ from repro.checkpoint.archive import (
     write_checkpoint,
 )
 from repro.checkpoint.journal import WriteAheadJournal
-from repro.errors import SimulationError
 from repro.telemetry.probe import NULL_PROBE
 
 
@@ -209,39 +208,28 @@ class Checkpointer:
         return archive
 
 
+def _hooks(controller, checkpointer: Checkpointer | None) -> dict:
+    """The engine-loop hooks that put *checkpointer*'s writes on schedule."""
+    if checkpointer is None:
+        return {}
+    return {"cap": checkpointer.bound, "after": lambda: checkpointer.maybe(controller)}
+
+
 def advance_to(
     controller,
     t: float,
     checkpointer: Checkpointer | None = None,
     limit: float = math.inf,
 ) -> None:
-    """``engine.run_until(t)`` chunked around checkpoint writes.
+    """:meth:`Engine.run_until` chunked around checkpoint writes.
 
-    Semantically identical to :meth:`Engine.run_until` — same guards,
-    same error messages, at most one tick of overshoot — but each
-    advance is bounded at the next checkpoint instant so cadence
+    Each advance is bounded at the next checkpoint instant so cadence
     checkpoints land on schedule even across event-kernel leaps.
-
     *limit* is an absolute simulated instant the caller's scheduling
     slice ends at: the loop returns (without error) once the clock
-    reaches it, even though *t* has not been reached yet.  A bound is
-    only ever *tightened* by it, so a sliced drive executes the same
-    tick sequence as an unsliced one (the invariant the
-    kernel-equivalence suite enforces for multiplexed sessions).
+    reaches it, even though *t* has not been reached yet.
     """
-    engine = controller.engine
-    if t < engine.now:
-        raise SimulationError(
-            f"cannot run to {t:.3f}: time is already {engine.now:.3f}"
-        )
-    steps = 0
-    while engine.now < min(t, limit):
-        bound = t if checkpointer is None else checkpointer.bound(t)
-        steps += engine.advance(min(bound, limit))
-        if steps > engine._max_steps:
-            raise SimulationError("run_until exceeded the step budget")
-        if checkpointer is not None:
-            checkpointer.maybe(controller)
+    controller.engine.run_until(t, limit=limit, **_hooks(controller, checkpointer))
 
 
 def advance_while(
@@ -252,28 +240,17 @@ def advance_while(
     checkpointer: Checkpointer | None = None,
     limit: float = math.inf,
 ) -> None:
-    """``engine.run_while`` against an *absolute* deadline.
+    """:meth:`Engine.run_while` against an *absolute* deadline.
 
     Drivers store the deadline when the phase starts, so a resumed run
     keeps the original budget instead of restarting it; *timeout* is
-    only quoted in the timeout error, matching
-    :meth:`Engine.run_while` byte for byte.  *limit* slices the loop
-    exactly as in :func:`advance_to`: return quietly at the slice
-    boundary, leaving the predicate (and the deadline budget) to the
-    next slice.
+    only quoted in the timeout error.  *limit* slices the loop exactly
+    as in :func:`advance_to`.
     """
-    engine = controller.engine
-    while predicate():
-        if engine.now >= deadline:
-            raise SimulationError(
-                f"run_while did not terminate within {timeout:.1f} sim-seconds"
-            )
-        if engine.now >= limit:
-            return
-        bound = deadline if checkpointer is None else checkpointer.bound(deadline)
-        engine.advance(min(bound, limit))
-        if checkpointer is not None:
-            checkpointer.maybe(controller)
+    controller.engine.run_while(
+        predicate, timeout, deadline=deadline, limit=limit,
+        **_hooks(controller, checkpointer),
+    )
 
 
 @dataclass

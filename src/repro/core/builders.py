@@ -164,13 +164,12 @@ def build_java_vm(
         seed_old=seed_old,
         rng=rng,
     )
-    agent = TIAgent(jvm, lkm) if with_agent else None
-    analyzer = Analyzer(jvm)
-    if agent is None:
-        # Build a detached placeholder so the dataclass stays total; the
-        # caller asked for an agent-less guest (vanilla-only runs).
-        agent = TIAgent(jvm, lkm)
+    agent = TIAgent(jvm, lkm)
+    if not with_agent:
+        # A detached placeholder keeps the dataclass total for an
+        # agent-less guest (vanilla-only runs).
         agent.detach()
+    analyzer = Analyzer(jvm)
     vm = JavaVM(domain, kernel, lkm, process, jvm, agent, analyzer, spec)
     lkm.event_log = vm.event_log
     jvm.event_log = vm.event_log

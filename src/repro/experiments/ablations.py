@@ -27,8 +27,7 @@ import numpy as np
 from repro.core.builders import build_java_vm, make_migrator
 from repro.core.policy import choose_engine
 from repro.experiments.common import ascii_table, run_migration
-from repro.guest import messages as msg
-from repro.guest.procfs import format_area_line
+from repro.guest.participant import Participant
 from repro.mem.address import VARange
 from repro.net.link import Link
 from repro.sim.engine import make_engine
@@ -71,7 +70,7 @@ def final_update_modes(seed: int = 20150421) -> list[FinalUpdateResult]:
 # -- the enforced GC matters ------------------------------------------------------------------
 
 
-class UnsafeNoGcAgent:
+class UnsafeNoGcAgent(Participant):
     """A (wrong) agent that skips the enforced GC before suspension.
 
     It reports the Young generation as skip-over but claims readiness
@@ -81,29 +80,20 @@ class UnsafeNoGcAgent:
     enforces the GC and transfers the occupied From space.
     """
 
+    label = "unsafe agent"
+
     def __init__(self, jvm, lkm) -> None:
         self.jvm = jvm
-        self.lkm = lkm
-        self.app_id = jvm.process.pid
-        self._netlink = jvm.process.kernel.netlink
-        self._netlink.subscribe(self.app_id, self._on_netlink)
-        lkm.register_app(self.app_id, jvm.process)
+        super().__init__(jvm.process, lkm)
 
-    def _on_netlink(self, message: object) -> None:
-        young = self.jvm.heap.young_committed_range()
-        if isinstance(message, msg.SkipOverQuery):
-            self.lkm.proc_entry.write(
-                format_area_line(self.app_id, message.query_id, young)
-            )
-            self._netlink.send_to_kernel(
-                self.app_id, msg.SkipAreasReply(self.app_id, message.query_id, 1)
-            )
-        elif isinstance(message, msg.PrepareSuspension):
-            self._netlink.send_to_kernel(
-                self.app_id,
-                msg.SuspensionReadyReply(self.app_id, message.query_id, areas=(young,)),
-            )
-        # VMResumedNotice: nothing to do — no safepoint was held.
+    def skip_areas(self):
+        return (self.jvm.heap.young_committed_range(),)
+
+    def quiesce(self) -> None:
+        self.ready()
+
+    def release(self, resumed: bool) -> None:
+        pass  # no safepoint was held
 
 
 @dataclass(frozen=True)
@@ -117,8 +107,7 @@ def no_enforced_gc(seed: int = 20150421) -> NoGcResult:
     """Show that skipping the enforced GC silently loses live data."""
     engine = make_engine()
     vm = build_java_vm(workload="derby", seed=seed, with_agent=False)
-    vm.agent.detach()  # replace the real TI agent with the unsafe one
-    UnsafeNoGcAgent(vm.jvm, vm.lkm)
+    UnsafeNoGcAgent(vm.jvm, vm.lkm)  # in place of the real TI agent
     vm.register(engine)
     migrator = make_migrator("javmm", vm, Link())
     engine.add(migrator)

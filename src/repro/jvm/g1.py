@@ -25,14 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError, HeapError, ProtocolError
-from repro.guest import messages as msg
+from repro.errors import ConfigurationError, HeapError
 from repro.guest.lkm import AssistLKM
+from repro.guest.participant import RuntimeParticipant
 from repro.guest.process import Process
-from repro.guest.procfs import format_area_line
 from repro.mem.address import VARange
 from repro.mem.constants import PAGE_SIZE, bytes_to_pages
-from repro.sim.actor import Actor
+from repro.runtime.stw import StopTheWorldRuntime
 from repro.units import MiB
 
 
@@ -211,10 +210,8 @@ class G1Heap:
         return live
 
 
-class G1Runtime(Actor):
+class G1Runtime(StopTheWorldRuntime):
     """A JVM running on the G1 heap (mutator + evacuation pauses)."""
-
-    priority = 0
 
     def __init__(
         self,
@@ -224,57 +221,18 @@ class G1Runtime(Actor):
         ops_per_s: float = 50.0,
         pause_per_byte_s: float = 1.5e-9,
     ) -> None:
-        self.process = process
-        self.heap = heap
-        self.alloc_bytes_per_s = float(alloc_bytes_per_s)
-        self.ops_per_s = float(ops_per_s)
+        super().__init__(process, heap, alloc_bytes_per_s, ops_per_s)
         self.pause_per_byte_s = pause_per_byte_s
-        self.ops_completed = 0.0
-        self._gc_timer = 0.0
-        self._held = False
-        self._pending_enforced = False
-        self._enforced_in_gc = False
-        self.on_enforced_ready: Callable[[], None] | None = None
 
-    def enforce_gc(self) -> None:
-        self._pending_enforced = True
-
-    def release(self) -> None:
-        self._held = False
-
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    def step(self, now: float, dt: float) -> None:
-        if self.process.kernel.domain.paused or self._held:
-            return
-        if self._gc_timer > 0.0:
-            self._gc_timer -= dt
-            if self._gc_timer <= 0.0 and self._enforced_in_gc:
-                self._held = True
-                if self.on_enforced_ready is not None:
-                    self.on_enforced_ready()
-            return
-        if self._pending_enforced:
-            self._pending_enforced = False
-            self._start_gc(enforced=True)
-            return
-        self.heap.allocate(self.alloc_bytes_per_s * dt)
-        self.ops_completed += self.ops_per_s * dt
-        if self.heap.needs_gc:
-            self._start_gc(enforced=False)
-
-    def _start_gc(self, enforced: bool) -> None:
+    def collect(self) -> float:
         scanned = sum(
             r.used for r in self.heap.regions if r.role in ("eden", "survivor")
         )
         self.heap.evacuate_young()
-        self._gc_timer = 0.01 + scanned * self.pause_per_byte_s
-        self._enforced_in_gc = enforced
+        return 0.01 + scanned * self.pause_per_byte_s
 
 
-class G1Agent:
+class G1Agent(RuntimeParticipant):
     """JAVMM's TI agent ported to G1's non-contiguous Young generation.
 
     *addition_notices* enables the `AreaAdded` protocol extension;
@@ -283,73 +241,22 @@ class G1Agent:
     first in-migration evacuation).
     """
 
+    label = "G1 agent"
+
     def __init__(
         self, runtime: G1Runtime, lkm: AssistLKM, addition_notices: bool = True
     ) -> None:
-        self.runtime = runtime
-        self.lkm = lkm
+        super().__init__(runtime, lkm)
         self.addition_notices = addition_notices
-        self.app_id = runtime.process.pid
-        self._netlink = runtime.process.kernel.netlink
-        self._pending_query: int | None = None
-        self.shrink_notices = 0
-        self.add_notices = 0
-        self._netlink.subscribe(self.app_id, self._on_netlink)
-        lkm.register_app(self.app_id, runtime.process)
-        runtime.heap.on_region_recycled = self._on_region_recycled
-        runtime.heap.on_region_claimed = self._on_region_claimed
-        runtime.on_enforced_ready = self._on_enforced_ready
-
-    def _on_region_recycled(self, extent: VARange) -> None:
-        self.shrink_notices += 1
-        self._netlink.send_to_kernel(
-            self.app_id, msg.AreaShrunk(self.app_id, (extent,))
-        )
-
-    def _on_region_claimed(self, extent: VARange) -> None:
+        runtime.heap.on_region_recycled = self.notify_shrunk
         # G1 opts into immediate addition notices: Young regions churn
         # every evacuation, so deferred expansion would forfeit skipping.
-        if not self.addition_notices:
-            return
-        self.add_notices += 1
-        self._netlink.send_to_kernel(
-            self.app_id, msg.AreaAdded(self.app_id, (extent,))
+        runtime.heap.on_region_claimed = (
+            self.notify_added if addition_notices else None
         )
 
-    def _on_netlink(self, message: object) -> None:
-        heap = self.runtime.heap
-        if isinstance(message, msg.SkipOverQuery):
-            areas = heap.young_ranges()
-            for area in areas:
-                self.lkm.proc_entry.write(
-                    format_area_line(self.app_id, message.query_id, area)
-                )
-            self._netlink.send_to_kernel(
-                self.app_id,
-                msg.SkipAreasReply(self.app_id, message.query_id, len(areas)),
-            )
-        elif isinstance(message, msg.PrepareSuspension):
-            self._pending_query = message.query_id
-            self.runtime.enforce_gc()
-        elif isinstance(message, msg.VMResumedNotice):
-            self.runtime.release()
-        elif isinstance(message, msg.MigrationAbortedNotice):
-            self._pending_query = None
-            self.runtime.release()
-        else:
-            raise ProtocolError(f"G1 agent cannot handle {message!r}")
+    def skip_areas(self) -> list[VARange]:
+        return self.runtime.heap.young_ranges()
 
-    def _on_enforced_ready(self) -> None:
-        if self._pending_query is None:
-            return
-        query_id, self._pending_query = self._pending_query, None
-        heap = self.runtime.heap
-        self._netlink.send_to_kernel(
-            self.app_id,
-            msg.SuspensionReadyReply(
-                self.app_id,
-                query_id,
-                areas=tuple(heap.young_ranges()),
-                leaving_ranges=tuple(heap.survivor_ranges()),
-            ),
-        )
+    def leaving_ranges(self) -> list[VARange]:
+        return self.runtime.heap.survivor_ranges()

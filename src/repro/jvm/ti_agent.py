@@ -13,41 +13,41 @@ multicast group, and:
   suspension-readiness, passing the current Young range and the occupied
   From range (the live data that must travel in the last iteration);
 - on ``VMResumedNotice``, releases the Java threads.
+
+The protocol itself is :class:`~repro.guest.participant.RuntimeParticipant`'s;
+this module adds HotSpot's areas and the agent's fault surface.
 """
 
 from __future__ import annotations
 
-from repro.errors import ProtocolError
-from repro.guest import messages as msg
 from repro.guest.lkm import AssistLKM
-from repro.guest.procfs import format_area_line
+from repro.guest.participant import RuntimeParticipant
 from repro.jvm.hotspot import HotSpotJVM
 from repro.mem.address import VARange
-from repro.telemetry.probe import NULL_PROBE
 
 
-class TIAgent:
+class TIAgent(RuntimeParticipant):
     """JVM Tool Interface agent connecting HotSpot to the LKM."""
 
+    label = "TI agent"
+
     def __init__(self, jvm: HotSpotJVM, lkm: AssistLKM) -> None:
-        self.jvm = jvm
-        self.lkm = lkm
-        #: telemetry handle (see repro.telemetry); no-op unless enabled
-        self.probe = NULL_PROBE
-        self.app_id = jvm.process.pid
-        self._netlink = jvm.process.kernel.netlink
-        self._pending_query_id: int | None = None
-        self._enforced_in_flight = False
-        self.shrink_notices = 0
         #: fault-injection state: a hung agent queues netlink traffic
         self.hung = False
         self._hang_queue: list[object] = []
         self.detached = False
+        super().__init__(jvm, lkm)
+        jvm.heap.on_young_shrunk = self.notify_shrunk
 
-        self._netlink.subscribe(self.app_id, self._on_netlink)
-        lkm.register_app(self.app_id, jvm.process)
-        jvm.heap.on_young_shrunk = self._on_young_shrunk
-        jvm.on_enforced_ready = self._on_enforced_ready
+    @property
+    def jvm(self) -> HotSpotJVM:
+        return self.runtime
+
+    def skip_areas(self) -> tuple[VARange, ...]:
+        return (self.jvm.heap.young_committed_range(),)
+
+    def leaving_ranges(self) -> tuple[VARange, ...]:
+        return (self.jvm.heap.occupied_from_range(),)
 
     def detach(self) -> None:
         """Unload the agent (unsubscribe and drop callbacks)."""
@@ -80,7 +80,6 @@ class TIAgent:
         if not self.detached:
             self.detach()
         self._pending_query_id = None
-        self._enforced_in_flight = False
         self.jvm.release()
 
     # -- netlink delivery -------------------------------------------------------------
@@ -89,68 +88,10 @@ class TIAgent:
         if self.hung:
             self._hang_queue.append(message)
             return
-        if isinstance(message, msg.SkipOverQuery):
-            self._reply_skip_areas(message.query_id)
-        elif isinstance(message, msg.PrepareSuspension):
-            self._prepare_suspension(message.query_id)
-        elif isinstance(message, msg.VMResumedNotice):
-            self._on_vm_resumed()
-        elif isinstance(message, msg.MigrationAbortedNotice):
-            self._on_migration_aborted()
-        else:
-            raise ProtocolError(f"TI agent cannot handle {message!r}")
-
-    def _reply_skip_areas(self, query_id: int) -> None:
-        young = self.jvm.heap.young_committed_range()
-        self.lkm.proc_entry.write(format_area_line(self.app_id, query_id, young))
-        self.probe.count("agent.replies", kind="skip-areas")
-        self._netlink.send_to_kernel(
-            self.app_id, msg.SkipAreasReply(self.app_id, query_id, n_areas=1)
-        )
-
-    def _prepare_suspension(self, query_id: int) -> None:
-        self._pending_query_id = query_id
-        self._enforced_in_flight = True
-        self.probe.count("agent.enforced_gc_requests")
-        self.jvm.enforce_gc()
-
-    def _on_vm_resumed(self) -> None:
-        self.jvm.release()
-
-    def _on_migration_aborted(self) -> None:
-        """Abort rollback: drop protocol state, free held threads."""
-        self._pending_query_id = None
-        self._enforced_in_flight = False
-        self.jvm.release()
-
-    # -- JVM callbacks -------------------------------------------------------------------
-
-    def _on_young_shrunk(self, freed: VARange) -> None:
-        """Pages were freed from the Young generation at the end of a GC."""
-        self.shrink_notices += 1
-        self.probe.count("agent.shrink_notices")
-        self._netlink.send_to_kernel(
-            self.app_id, msg.AreaShrunk(self.app_id, ranges_left=(freed,))
-        )
+        super()._on_netlink(message)
 
     def _on_enforced_ready(self) -> None:
         """The enforced GC finished; Java threads are held at the safepoint."""
         if self.hung:
             return  # the wedged agent thread cannot send its reply
-        if not self._enforced_in_flight or self._pending_query_id is None:
-            # An enforced GC not initiated by the protocol (tests drive
-            # this directly); nothing to report.
-            return
-        self._enforced_in_flight = False
-        query_id, self._pending_query_id = self._pending_query_id, None
-        heap = self.jvm.heap
-        self.probe.count("agent.replies", kind="suspension-ready")
-        self._netlink.send_to_kernel(
-            self.app_id,
-            msg.SuspensionReadyReply(
-                self.app_id,
-                query_id,
-                areas=(heap.young_committed_range(),),
-                leaving_ranges=(heap.occupied_from_range(),),
-            ),
-        )
+        super()._on_enforced_ready()

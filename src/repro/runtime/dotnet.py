@@ -14,19 +14,14 @@ JAVMM's occupied From space).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.errors import ConfigurationError, HeapError, ProtocolError
-from repro.guest import messages as msg
-from repro.guest.lkm import AssistLKM
+from repro.errors import ConfigurationError, HeapError
+from repro.guest.participant import RuntimeParticipant
 from repro.guest.process import Process
-from repro.guest.procfs import format_area_line
 from repro.mem.address import VARange
 from repro.mem.constants import PAGE_SIZE, bytes_to_pages
-from repro.sim.actor import Actor
-from repro.units import MiB
+from repro.runtime.stw import StopTheWorldRuntime
 
 
 class EphemeralHeap:
@@ -106,10 +101,8 @@ class EphemeralHeap:
         return VARange(self.ephemeral.start, self.ephemeral.start + pages * PAGE_SIZE)
 
 
-class DotNetRuntime(Actor):
+class DotNetRuntime(StopTheWorldRuntime):
     """A CLR running one managed application."""
-
-    priority = 0
 
     def __init__(
         self,
@@ -120,56 +113,17 @@ class DotNetRuntime(Actor):
         gc_pause_per_byte_s: float = 1.5e-9,
         suspend_ee_s: float = 0.02,  # time to suspend managed threads
     ) -> None:
-        self.process = process
-        self.heap = heap
-        self.alloc_bytes_per_s = float(alloc_bytes_per_s)
-        self.ops_per_s = float(ops_per_s)
+        super().__init__(process, heap, alloc_bytes_per_s, ops_per_s)
         self.gc_pause_per_byte_s = gc_pause_per_byte_s
         self.suspend_ee_s = suspend_ee_s
-        self.ops_completed = 0.0
-        self._gc_timer = 0.0
-        self._held = False
-        self._pending_enforced = False
-        self._enforced_in_gc = False
-        self.on_enforced_ready: Callable[[], None] | None = None
 
-    def enforce_gc(self) -> None:
-        self._pending_enforced = True
-
-    def release(self) -> None:
-        self._held = False
-
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    def step(self, now: float, dt: float) -> None:
-        if self.process.kernel.domain.paused or self._held:
-            return
-        if self._gc_timer > 0.0:
-            self._gc_timer -= dt
-            if self._gc_timer <= 0.0 and self._enforced_in_gc:
-                self._held = True
-                if self.on_enforced_ready is not None:
-                    self.on_enforced_ready()
-            return
-        if self._pending_enforced:
-            self._pending_enforced = False
-            self._start_gc(enforced=True)
-            return
-        got = self.heap.allocate(self.alloc_bytes_per_s * dt)
-        self.ops_completed += self.ops_per_s * dt
-        if self.heap.needs_gc:
-            self._start_gc(enforced=False)
-
-    def _start_gc(self, enforced: bool) -> None:
+    def collect(self) -> float:
         scanned = self.heap.ephemeral_used
         self.heap.collect_ephemeral()
-        self._gc_timer = self.suspend_ee_s + scanned * self.gc_pause_per_byte_s
-        self._enforced_in_gc = enforced
+        return self.suspend_ee_s + scanned * self.gc_pause_per_byte_s
 
 
-class DotNetAgent:
+class DotNetAgent(RuntimeParticipant):
     """The CLR-side framework participant (the TI-agent analogue).
 
     Identical protocol, different runtime: the skip-over area is the
@@ -177,47 +131,10 @@ class DotNetAgent:
     the compacted survivor prefix.
     """
 
-    def __init__(self, runtime: DotNetRuntime, lkm: AssistLKM) -> None:
-        self.runtime = runtime
-        self.lkm = lkm
-        self.app_id = runtime.process.pid
-        self._netlink = runtime.process.kernel.netlink
-        self._pending_query: int | None = None
-        self._netlink.subscribe(self.app_id, self._on_netlink)
-        lkm.register_app(self.app_id, runtime.process)
-        runtime.on_enforced_ready = self._on_enforced_ready
+    label = ".NET agent"
 
-    def _on_netlink(self, message: object) -> None:
-        heap = self.runtime.heap
-        if isinstance(message, msg.SkipOverQuery):
-            self.lkm.proc_entry.write(
-                format_area_line(self.app_id, message.query_id, heap.ephemeral)
-            )
-            self._netlink.send_to_kernel(
-                self.app_id, msg.SkipAreasReply(self.app_id, message.query_id, 1)
-            )
-        elif isinstance(message, msg.PrepareSuspension):
-            self._pending_query = message.query_id
-            self.runtime.enforce_gc()
-        elif isinstance(message, msg.VMResumedNotice):
-            self.runtime.release()
-        elif isinstance(message, msg.MigrationAbortedNotice):
-            self._pending_query = None
-            self.runtime.release()
-        else:
-            raise ProtocolError(f".NET agent cannot handle {message!r}")
+    def skip_areas(self) -> tuple[VARange, ...]:
+        return (self.runtime.heap.ephemeral,)
 
-    def _on_enforced_ready(self) -> None:
-        if self._pending_query is None:
-            return
-        query_id, self._pending_query = self._pending_query, None
-        heap = self.runtime.heap
-        self._netlink.send_to_kernel(
-            self.app_id,
-            msg.SuspensionReadyReply(
-                self.app_id,
-                query_id,
-                areas=(heap.ephemeral,),
-                leaving_ranges=(heap.occupied_prefix(),),
-            ),
-        )
+    def leaving_ranges(self) -> tuple[VARange, ...]:
+        return (self.runtime.heap.occupied_prefix(),)

@@ -149,48 +149,46 @@ class MigrationManager:
             if session.state == RUNNING:  # a failed build takes no slot
                 pool += 1
 
-    def step_round(self) -> bool:
+    def _round(self):
         """One scheduling round: admit, then give every RUNNING session
-        one slice.  Returns True while any session can still progress
-        (running now, paused, or queued behind the pool)."""
+        one slice, yielding each session after its slice so a driver can
+        interleave between sessions.  The round every drive style runs."""
         self._admit()
-        progressed = False
         for session in list(self.sessions.values()):
             if session.state == RUNNING:
                 session.step_slice(self.slice_s)
-                progressed = True
-        return progressed or bool(self.queued) or bool(self.active)
+                yield session
+
+    def _run_round(self) -> int:
+        """One whole round; returns the number of slices it ran."""
+        return sum(1 for _ in self._round())
+
+    def step_round(self) -> bool:
+        """One scheduling round.  Returns True while any session can
+        still progress (running now, paused, or queued behind the pool)."""
+        return bool(self._run_round() or self.queued or self.active)
 
     def drain(self) -> None:
         """Run rounds until nothing is queued or running.  PAUSED
         sessions are left paused — they park, they do not block."""
-        while True:
-            self._admit()
-            ran = False
-            for session in list(self.sessions.values()):
-                if session.state == RUNNING:
-                    session.step_slice(self.slice_s)
-                    ran = True
-            if not ran and not self.queued:
-                return
+        while self._run_round() or self.queued:
+            pass
 
     async def run_forever(self, idle_sleep_s: float = 0.05, stop=None) -> None:
         """The daemon's scheduler loop: rounds with an event-loop yield
-        between them (so socket verbs interleave), idling when nothing
-        is runnable.  *stop* is an ``asyncio.Event`` that ends the loop.
+        after every slice (so socket verbs interleave), idling when
+        nothing is runnable.  *stop* is an ``asyncio.Event`` that ends
+        the loop, checked between sessions.
         """
         import asyncio
 
         while stop is None or not stop.is_set():
-            self._admit()
             ran = False
-            for session in list(self.sessions.values()):
+            for _ in self._round():
+                ran = True
+                await asyncio.sleep(0)
                 if stop is not None and stop.is_set():
                     return
-                if session.state == RUNNING:
-                    session.step_slice(self.slice_s)
-                    ran = True
-                    await asyncio.sleep(0)
             if not ran:
                 await asyncio.sleep(idle_sleep_s)
 

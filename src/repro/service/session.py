@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.units import MiB
@@ -338,6 +338,9 @@ class _Admin:
     state: str = QUEUED
     error: str = ""
     finalized: bool = False
+    #: the driver's ``sim_now_s``/``phase``/``attempt`` when the session
+    #: ended; ``status`` reads them once the driver is gone
+    progress: dict = field(default_factory=dict)
 
 
 class MigrationSession:
@@ -405,6 +408,7 @@ class MigrationSession:
             "state": self._admin.state,
             "error": self._admin.error,
             "finalized": self._admin.finalized,
+            "progress": self._admin.progress,
         })
 
     @classmethod
@@ -428,6 +432,7 @@ class MigrationSession:
             state=record["state"],
             error=record.get("error", ""),
             finalized=record.get("finalized", False),
+            progress=record.get("progress", {}),
         )
         result_path = os.path.join(directory, "result.json")
         if os.path.exists(result_path):
@@ -520,7 +525,8 @@ class MigrationSession:
 
     def _finish(self, state: str, payload: dict, error: str | None = None) -> None:
         """Enter terminal *state*: store the result *payload* durably
-        (it survives restarts), close the telemetry stream, persist."""
+        (it survives restarts), close the telemetry stream, snapshot the
+        driver's progress, persist, and let go of the simulation."""
         self._admin.state = state
         if error is not None:
             self._admin.error = error
@@ -528,8 +534,10 @@ class MigrationSession:
         self._write_json("result.json", payload)
         if self._sink is not None:
             self._sink.close()
-            self._sink = None
+        if self.driver is not None:
+            self._admin.progress = self._progress()
         self._persist_admin()
+        self.driver = self.checkpointer = self._sink = None
 
     # -- control verbs ------------------------------------------------------------------
 
@@ -582,6 +590,7 @@ class MigrationSession:
             payload["report"] = report.to_dict()
         if self.driver is not None:
             payload["final_digest"] = run_digest(self.driver.vm, report)
+            self.driver.vm.unwire()  # the guest never runs again
         self._finish(ABORTED, payload, reason)
 
     def finalize(self) -> dict:
@@ -602,6 +611,14 @@ class MigrationSession:
 
     # -- status -------------------------------------------------------------------------
 
+    def _progress(self) -> dict:
+        driver = self.driver
+        return {
+            "sim_now_s": driver.engine.now,
+            "phase": driver.phase,
+            "attempt": driver.attempt,
+        }
+
     def status(self) -> dict:
         info = {
             "id": self.id,
@@ -612,11 +629,7 @@ class MigrationSession:
             "state": self.state,
             "error": self._admin.error,
         }
-        driver = self.driver
-        if driver is not None:
-            info["sim_now_s"] = driver.engine.now
-            info["phase"] = driver.phase
-            info["attempt"] = driver.attempt
+        info.update(self._admin.progress if self.driver is None else self._progress())
         if self.result_payload is not None:
             info["ok"] = self.result_payload.get("ok")
             # supervised and aborted payloads nest the report

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import math
 import os
 import pickle
 from typing import Callable, Iterable
@@ -43,6 +44,10 @@ KERNELS = ("fixed", "event")
 
 #: environment variable consulted by :func:`make_engine`
 KERNEL_ENV_VAR = "REPRO_SIM_KERNEL"
+
+#: the run loops' hooks: bound tightening, and work between advances
+Cap = Callable[[float], float]
+Hook = Callable[[], None]
 
 
 class Engine:
@@ -195,27 +200,56 @@ class Engine:
         """
         return self._advance(bound)
 
-    def run_until(self, t: float) -> None:
-        """Run steps until simulated time reaches at least *t*."""
+    def run_until(
+        self, t: float, *, limit: float = math.inf, cap: Cap | None = None,
+        after: Hook | None = None,
+    ) -> None:
+        """Run steps until simulated time reaches at least *t*.
+
+        The checkpointed drivers' loop too
+        (:func:`repro.checkpoint.runner.advance_to`): it returns quietly
+        once the clock reaches *limit* (a scheduling slice's end), *cap*
+        tightens each advance's bound (to the next checkpoint) and
+        *after* runs between advances.  Bounds only ever tighten, so a
+        sliced or checkpointed run takes the same ticks as a plain one.
+        """
         if t < self.now:
             raise SimulationError(
                 f"cannot run to {t:.3f}: time is already {self.now:.3f}"
             )
         steps = 0
-        while self.now < t:
-            steps += self._advance(t)
+        while self.now < min(t, limit):
+            bound = t if cap is None else cap(t)
+            steps += self._advance(min(bound, limit))
             if steps > self._max_steps:
                 raise SimulationError("run_until exceeded the step budget")
+            if after is not None:
+                after()
 
-    def run_while(self, predicate: Callable[[], bool], timeout: float = 3600.0) -> None:
-        """Run steps while ``predicate()`` holds, up to *timeout* sim-seconds."""
-        deadline = self.now + timeout
+    def run_while(
+        self, predicate: Callable[[], bool], timeout: float = 3600.0, *,
+        deadline: float | None = None, limit: float = math.inf,
+        cap: Cap | None = None, after: Hook | None = None,
+    ) -> None:
+        """Run steps while ``predicate()`` holds, up to *timeout* sim-seconds.
+
+        An absolute *deadline* replaces ``now + timeout`` (a resumed
+        driver keeps its budget; *timeout* is then only quoted in the
+        error); *limit*, *cap* and *after* are as in :meth:`run_until`.
+        """
+        if deadline is None:
+            deadline = self.now + timeout
         while predicate():
             if self.now >= deadline:
                 raise SimulationError(
                     f"run_while did not terminate within {timeout:.1f} sim-seconds"
                 )
-            self._advance(deadline)
+            if self.now >= limit:
+                return
+            bound = deadline if cap is None else cap(deadline)
+            self._advance(min(bound, limit))
+            if after is not None:
+                after()
 
     # -- snapshot / restore -----------------------------------------------------------
 

@@ -19,20 +19,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ProtocolError
-from repro.guest import messages as msg
+from repro.errors import ConfigurationError
 from repro.guest.kernel import GuestKernel
 from repro.guest.lkm import AssistLKM
-from repro.guest.procfs import format_area_line
+from repro.guest.participant import Participant
 from repro.mem.address import VARange
 from repro.sim.actor import Actor
 from repro.units import MiB
 
 
-class CacheApp(Actor):
+class CacheApp(Participant, Actor):
     """An in-memory cache server participating in assisted migration."""
 
     priority = 0
+    label = "cache app"
 
     def __init__(
         self,
@@ -47,7 +47,6 @@ class CacheApp(Actor):
         if not 0.0 < hot_fraction <= 1.0:
             raise ConfigurationError("hot fraction must be in (0, 1]")
         self.kernel = kernel
-        self.lkm = lkm
         self.process = kernel.spawn("cache-server")
         self.arena = self.process.mmap(cache_bytes)
         self.hot_bytes = int(cache_bytes * hot_fraction)
@@ -57,12 +56,8 @@ class CacheApp(Actor):
         self.rng = rng or np.random.default_rng(11)
         self._cursor = 0
         self._held = False
-        self._pending_query: int | None = None
         self.resumed_with_cold_cache = False
-
-        self.app_id = self.process.pid
-        kernel.netlink.subscribe(self.app_id, self._on_netlink)
-        lkm.register_app(self.app_id, self.process)
+        super().__init__(self.process, lkm)
 
     # -- geometry -------------------------------------------------------------------
 
@@ -98,29 +93,18 @@ class CacheApp(Actor):
 
     # -- protocol -------------------------------------------------------------------
 
-    def _on_netlink(self, message: object) -> None:
-        if isinstance(message, msg.SkipOverQuery):
-            self.lkm.proc_entry.write(
-                format_area_line(self.app_id, message.query_id, self.cold_region)
-            )
-            self.kernel.netlink.send_to_kernel(
-                self.app_id, msg.SkipAreasReply(self.app_id, message.query_id, 1)
-            )
-        elif isinstance(message, msg.PrepareSuspension):
-            # Purge-and-compact: the hot data is already compact at the
-            # bottom of the arena, so preparation is just a quiesce.
-            self._held = True
-            self.kernel.netlink.send_to_kernel(
-                self.app_id,
-                msg.SuspensionReadyReply(
-                    self.app_id, message.query_id, areas=(self.cold_region,)
-                ),
-            )
-        elif isinstance(message, msg.VMResumedNotice):
-            self._held = False
+    def skip_areas(self) -> tuple[VARange, ...]:
+        return (self.cold_region,)
+
+    def quiesce(self) -> None:
+        # Purge-and-compact: the hot data is already compact at the
+        # bottom of the arena, so preparation is just a quiesce.
+        self._held = True
+        self.ready()
+
+    def release(self, resumed: bool) -> None:
+        # After an abort the server is still at the source and resumes
+        # serving from the warm cache.
+        self._held = False
+        if resumed:
             self.resumed_with_cold_cache = True
-        elif isinstance(message, msg.MigrationAbortedNotice):
-            # Still at the source: resume serving from the warm cache.
-            self._held = False
-        else:
-            raise ProtocolError(f"cache app cannot handle {message!r}")

@@ -26,6 +26,7 @@ def run_example(name: str, capsys) -> str:
         ("quickstart.py", "JAVMM vs Xen"),
         ("cache_server_migration.py", "shrunken cache: True"),
         ("dotnet_migration.py", "framework-assisted"),
+        ("g1_migration.py", "assisted (AreaAdded on)"),
         ("checkpoint_replication.py", "deprotected"),
     ],
 )

@@ -108,3 +108,61 @@ def test_done_session_status_and_digest_are_unchanged(supervise):
         "vm_downtime_s": 0.1750544799999999,
     }
     assert session.result_payload["final_digest"] == digest
+
+
+def _session_config(supervise: bool) -> SessionConfig:
+    return SessionConfig(
+        workload="crypto", engine="javmm", mem_mb=512, young_mb=128,
+        warmup_s=1.0, cooldown_s=0.5, seed=5, supervise=supervise,
+    )
+
+
+def _end_session(manager: MigrationManager, sid: str, aborted: bool) -> None:
+    session = manager.session(sid)
+    if aborted:
+        while session.driver is None or session.driver.phase != "migrate":
+            manager.step_round()
+        manager.abort(sid, reason="operator abort")
+    else:
+        manager.drain()
+
+
+@pytest.mark.parametrize("aborted", [False, True], ids=["done", "aborted"])
+@pytest.mark.parametrize("supervise", [False, True], ids=["plain", "supervised"])
+def test_ended_session_lets_go_of_its_simulation(tmp_path, supervise, aborted):
+    gc.collect()
+    gc.disable()
+    try:
+        manager = MigrationManager(
+            root_dir=str(tmp_path), max_active=1, checkpoint_every_s=1.0
+        )
+        sid = manager.submit(_session_config(supervise))
+        manager.step_round()
+        session = manager.session(sid)
+        driver = weakref.ref(session.driver)
+        domain = weakref.ref(session.driver.vm.domain)
+        _end_session(manager, sid, aborted)
+        assert session.state == ("aborted" if aborted else "done")
+        assert driver() is None and domain() is None
+        assert session.checkpointer is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("aborted", [False, True], ids=["done", "aborted"])
+@pytest.mark.parametrize("supervise", [False, True], ids=["plain", "supervised"])
+def test_ended_session_status_survives_a_restart(tmp_path, supervise, aborted):
+    root = str(tmp_path / "svc")
+    manager = MigrationManager(root_dir=root, max_active=1)
+    sid = manager.submit(_session_config(supervise))
+    _end_session(manager, sid, aborted)
+    before = manager.status(sid)
+    assert {"sim_now_s", "phase", "attempt"} <= set(before)
+    reborn = MigrationManager(root_dir=root, max_active=1)
+    assert reborn.recover() == []
+    assert reborn.status(sid) == before
+    manager.finalize(sid)
+    finalized = manager.status(sid)
+    reborn = MigrationManager(root_dir=root, max_active=1)
+    reborn.recover()
+    assert reborn.status(sid) == finalized
