@@ -44,8 +44,11 @@ CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 #: always an :class:`~repro.core.experiment.ExperimentRun` (v1 archives
 #: could hold a bare ``MigrationSupervisor``, which no longer resumes).
 #: v3: the TI agent is a :class:`~repro.guest.participant.RuntimeParticipant`
-#: (its runtime is ``runtime``, and ``_enforced_in_flight`` is gone)
-STATE_VERSION = 3
+#: (its runtime is ``runtime``, and ``_enforced_in_flight`` is gone).
+#: v4: the guest's ``FrameAllocator`` holds numpy arrays (a rank stack
+#: and an allocated mask) instead of a list and a set, and a
+#: ``HeapLayout`` stores its space sizes
+STATE_VERSION = 4
 
 _CKPT_RE = re.compile(r"^ckpt-(\d+)$")
 

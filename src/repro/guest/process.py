@@ -90,9 +90,16 @@ class Process:
     def write_range(self, area: VARange) -> np.ndarray:
         """Write every byte of *area*: dirties all touched pages.
 
-        Returns the PFNs dirtied so callers can assert on them.
+        Returns the PFNs dirtied so callers can assert on them.  A span
+        that one run of ascending PFNs maps (nearly every write a heap
+        makes) is one slice write; anything else walks the page table.
         """
         start_vpn, end_vpn = page_span_outer(area)
+        pfn = self.page_table.run_pfn(start_vpn, end_vpn)
+        if pfn is not None:
+            end_pfn = pfn + end_vpn - start_vpn
+            self._kernel.domain.touch_range(pfn, end_pfn)
+            return np.arange(pfn, end_pfn, dtype=np.int64)
         pfns = self.page_table.walk(
             VARange(start_vpn * PAGE_SIZE, end_vpn * PAGE_SIZE), strict=True
         )

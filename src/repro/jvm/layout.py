@@ -10,7 +10,7 @@ layout tracks which physical half currently plays which role.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.mem.address import VARange
@@ -23,13 +23,25 @@ def _page_floor(n: int) -> int:
 
 @dataclass
 class HeapLayout:
-    """VA boundaries of the Java heap for one committed Young size."""
+    """VA boundaries of the Java heap for one committed Young size.
+
+    The space sizes and ranges follow from the fields, which a layout
+    never changes (:meth:`with_committed` makes a new one), so they are
+    computed once here rather than on every allocation.
+    """
 
     young_region: VARange  # the full reserved Young range
     old_region: VARange  # the full reserved Old range
     survivor_ratio: int
     young_committed: int  # bytes committed at the bottom of young_region
     survivors_flipped: bool = False  # False: From is the lower survivor
+    #: size of one survivor space (page-aligned)
+    survivor_bytes: int = field(init=False, repr=False, compare=False)
+    eden_bytes: int = field(init=False, repr=False, compare=False)
+    committed_range: VARange = field(init=False, repr=False, compare=False)
+    eden: VARange = field(init=False, repr=False, compare=False)
+    _survivor_lo: VARange = field(init=False, repr=False, compare=False)
+    _survivor_hi: VARange = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.survivor_ratio < 1:
@@ -38,38 +50,16 @@ class HeapLayout:
             raise ConfigurationError("committed Young size must be page-aligned")
         if self.young_committed > self.young_region.length:
             raise ConfigurationError("committed Young exceeds the reservation")
-
-    # -- derived space boundaries -------------------------------------------------
-
-    @property
-    def committed_range(self) -> VARange:
-        return VARange(
-            self.young_region.start, self.young_region.start + self.young_committed
-        )
-
-    @property
-    def survivor_bytes(self) -> int:
-        """Size of one survivor space (page-aligned)."""
-        return _page_floor(self.young_committed // (self.survivor_ratio + 2))
-
-    @property
-    def eden_bytes(self) -> int:
-        return self.young_committed - 2 * self.survivor_bytes
-
-    @property
-    def eden(self) -> VARange:
         start = self.young_region.start
-        return VARange(start, start + self.eden_bytes)
+        self.survivor_bytes = _page_floor(self.young_committed // (self.survivor_ratio + 2))
+        self.eden_bytes = self.young_committed - 2 * self.survivor_bytes
+        self.committed_range = VARange(start, start + self.young_committed)
+        self.eden = VARange(start, start + self.eden_bytes)
+        lo = self.eden.end
+        self._survivor_lo = VARange(lo, lo + self.survivor_bytes)
+        self._survivor_hi = VARange(lo + self.survivor_bytes, lo + 2 * self.survivor_bytes)
 
-    @property
-    def _survivor_lo(self) -> VARange:
-        start = self.eden.end
-        return VARange(start, start + self.survivor_bytes)
-
-    @property
-    def _survivor_hi(self) -> VARange:
-        start = self._survivor_lo.end
-        return VARange(start, start + self.survivor_bytes)
+    # -- survivor roles -------------------------------------------------------------
 
     @property
     def from_space(self) -> VARange:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.guest.lkm import AssistLKM
 from repro.guest.participant import RuntimeParticipant
-from repro.jvm.hotspot import HotSpotJVM
+from repro.jvm.hotspot import HotSpotJVM, JvmPhase
 from repro.mem.address import VARange
 
 
@@ -75,11 +75,21 @@ class TIAgent(RuntimeParticipant):
 
         Same visible effect as a clean unload — the kernel reaps the
         netlink socket either way — but it also releases Java threads
-        the dead agent can no longer release itself.
+        the dead agent can no longer release itself: now if they are
+        held, or when the enforced GC it asked for ends.
         """
+        orphaned = self._pending_query_id is not None or self._release_when_ready
         if not self.detached:
             self.detach()
         self._pending_query_id = None
+        if orphaned and self.jvm.phase is not JvmPhase.HELD:
+            self.jvm.on_enforced_ready = self._release_orphaned
+        self.jvm.release()
+
+    def _release_orphaned(self) -> None:
+        """The crashed agent's enforced GC ended: nobody will reply, so
+        let the held threads go."""
+        self.jvm.on_enforced_ready = None
         self.jvm.release()
 
     # -- netlink delivery -------------------------------------------------------------

@@ -6,6 +6,12 @@ of PFNs (not necessarily contiguous, matching the paper's observation
 that VA-contiguous areas map to scattered PFNs), and freed frames are
 recycled LIFO so reuse-after-free is exercised by tests — the exact
 hazard the PFN cache of Section 3.3.4 exists to handle.
+
+The pool is held as its PFNs in ascending order; a frame is named by
+its *rank* in that array.  The free list is an int64 stack of ranks
+and one boolean mask per rank says which frames are allocated, so
+allocation and free are array slices and a bad free is refused before
+anything changes.
 """
 
 from __future__ import annotations
@@ -20,58 +26,78 @@ class FrameAllocator:
 
     def __init__(self, pfns: np.ndarray | range) -> None:
         if isinstance(pfns, range):
-            # A range cannot repeat; skip the duplicate scan.
             free = np.arange(pfns.start, pfns.stop, pfns.step or 1, dtype=np.int64)
         else:
             free = np.asarray(pfns, dtype=np.int64)
-            if free.size and len(np.unique(free)) != free.size:
-                raise ConfigurationError("frame pool contains duplicate PFNs")
-        # Stored as a stack; reverse so low PFNs are handed out first,
-        # which makes tests and traces easier to read.
-        self._free = free[::-1].tolist()
-        self._allocated: set[int] = set()
+        order = np.argsort(free, kind="stable")
+        #: the pool's PFNs, ascending; a frame's index here is its rank
+        self._pool = free[order]
+        if self._pool.size > 1 and not (np.diff(self._pool) > 0).all():
+            raise ConfigurationError("frame pool contains duplicate PFNs")
+        ranks = np.empty(free.size, dtype=np.int64)
+        ranks[order] = np.arange(free.size, dtype=np.int64)
+        # The stack top is the end; reversed so the pool comes out in
+        # the order given (low PFNs first for a range), which makes
+        # tests and traces easier to read.
+        self._stack = ranks[::-1].copy()
+        self._top = free.size  # free frames are self._stack[:self._top]
+        self._allocated = np.zeros(free.size, dtype=bool)
         self.total_frames = free.size
 
     @property
     def free_frames(self) -> int:
-        return len(self._free)
+        return self._top
 
     @property
     def allocated_frames(self) -> int:
-        return len(self._allocated)
+        return self.total_frames - self._top
 
     def alloc(self, n: int) -> np.ndarray:
         """Allocate *n* frames; raises :class:`FrameExhausted` if short."""
         if n < 0:
             raise ConfigurationError(f"cannot allocate {n} frames")
-        if n > len(self._free):
-            raise FrameExhausted(
-                f"requested {n} frames, only {len(self._free)} free"
-            )
+        if n > self._top:
+            raise FrameExhausted(f"requested {n} frames, only {self._top} free")
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        # Bulk-pop the stack top: identical PFNs, in identical order, as
-        # n successive pop() calls.
-        taken = self._free[-n:][::-1]
-        del self._free[-n:]
-        self._allocated.update(taken)
-        return np.asarray(taken, dtype=np.int64)
+        # Pop n ranks off the top: the same frames, in the same order,
+        # as n successive pops.
+        taken = self._stack[self._top - n : self._top][::-1]
+        self._top -= n
+        self._allocated[taken] = True
+        return self._pool[taken]
 
     def free(self, pfns: np.ndarray) -> None:
-        """Return frames to the pool; double-free raises."""
-        for p in np.asarray(pfns, dtype=np.int64).tolist():
-            if p not in self._allocated:
-                raise ConfigurationError(f"double free or foreign PFN {p}")
-            self._allocated.remove(p)
-            self._free.append(p)
+        """Return frames to the pool, pushed in the order given.
+
+        A foreign PFN, a frame that is not allocated, or one repeated
+        within the call raises before any frame is freed.
+        """
+        pfns = np.asarray(pfns, dtype=np.int64)
+        ranks = np.searchsorted(self._pool, pfns)
+        ok = ranks < self._pool.size
+        ok[ok] = self._pool[ranks[ok]] == pfns[ok]
+        ok[ok] = self._allocated[ranks[ok]]
+        repeat = np.ones(pfns.size, dtype=bool)
+        repeat[np.unique(pfns, return_index=True)[1]] = False
+        bad = ~ok | repeat
+        if bad.any():
+            pfn = int(pfns[np.argmax(bad)])
+            raise ConfigurationError(f"double free or foreign PFN {pfn}")
+        self._allocated[ranks] = False
+        self._stack[self._top : self._top + ranks.size] = ranks
+        self._top += ranks.size
 
     def is_allocated(self, pfn: int) -> bool:
-        return int(pfn) in self._allocated
+        rank = int(np.searchsorted(self._pool, pfn))
+        return bool(
+            rank < self._pool.size and self._pool[rank] == pfn and self._allocated[rank]
+        )
 
     def allocated_pfns(self) -> np.ndarray:
         """All currently-allocated PFNs, ascending."""
-        return np.asarray(sorted(self._allocated), dtype=np.int64)
+        return self._pool[self._allocated]
 
     def free_pfns(self) -> np.ndarray:
         """All currently-free PFNs, ascending (for free-page-skip baselines)."""
-        return np.asarray(sorted(int(p) for p in self._free), dtype=np.int64)
+        return self._pool[~self._allocated]

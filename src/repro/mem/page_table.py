@@ -6,6 +6,11 @@ consecutively-mapped virtual pages each backed by an arbitrary PFN
 array — so that the hot operation, translating a large VA range (the
 LKM's page-table walk of Section 3.3.2), is a handful of array slices
 instead of a per-page loop.
+
+A VMA whose PFNs ascend by one (a *run*, what a fresh mapping from an
+unfragmented allocator gets) also records its first PFN, so a span
+inside it translates to a PFN interval without building an array:
+:meth:`PageTable.run_pfn`, the guest write path's fast case.
 """
 
 from __future__ import annotations
@@ -40,15 +45,20 @@ class PageTable:
         self._vmas: list[_Vma] = []  # sorted by start_vpn, non-overlapping
         #: ``start_vpn`` of each VMA, in step with ``_vmas`` (bisect key)
         self._starts: list[int] = []
+        #: first PFN of each VMA mapped as a run (PFNs ascending by one),
+        #: else ``None``; in step with ``_vmas``.  ``remap_page`` drops
+        #: a run it breaks and never restores one.
+        self._runs: list[int | None] = []
 
     def __getstate__(self) -> dict:
-        # ``_starts`` is derived: leave it out so the pickled form (and
-        # every archive written before it existed) stays ``_vmas`` alone.
+        # ``_starts`` and ``_runs`` are derived: leave them out so the
+        # pickled form stays ``_vmas`` alone.
         return {"_vmas": self._vmas}
 
     def __setstate__(self, state: dict) -> None:
         self._vmas = state["_vmas"]
         self._starts = [vma.start_vpn for vma in self._vmas]
+        self._runs = [_run_base(vma.pfns) for vma in self._vmas]
 
     # -- mapping ---------------------------------------------------------------
 
@@ -70,6 +80,7 @@ class PageTable:
             raise AddressError(f"mapping overlaps existing VMA before vpn {end_vpn}")
         self._vmas.insert(idx, _Vma(start_vpn, pfns.copy()))
         self._starts.insert(idx, start_vpn)
+        self._runs.insert(idx, _run_base(pfns))
 
     def unmap_range(self, r: VARange) -> np.ndarray:
         """Unmap the page-aligned range *r*; returns the PFNs released.
@@ -81,11 +92,11 @@ class PageTable:
         if end_vpn == start_vpn:
             return np.empty(0, dtype=np.int64)
         released: list[np.ndarray] = []
-        remaining: list[_Vma] = []
+        remaining: list[tuple[_Vma, int | None]] = []
         covered = 0
-        for vma in self._vmas:
+        for vma, run in zip(self._vmas, self._runs):
             if vma.end_vpn <= start_vpn or vma.start_vpn >= end_vpn:
-                remaining.append(vma)
+                remaining.append((vma, run))
                 continue
             cut_lo = max(vma.start_vpn, start_vpn)
             cut_hi = min(vma.end_vpn, end_vpn)
@@ -94,16 +105,19 @@ class PageTable:
             hi_off = cut_hi - vma.start_vpn
             released.append(vma.pfns[lo_off:hi_off])
             if lo_off > 0:
-                remaining.append(_Vma(vma.start_vpn, vma.pfns[:lo_off].copy()))
+                head = vma.pfns[:lo_off].copy()
+                remaining.append((_Vma(vma.start_vpn, head), _run_base(head)))
             if hi_off < len(vma.pfns):
-                remaining.append(_Vma(cut_hi, vma.pfns[hi_off:].copy()))
+                tail = vma.pfns[hi_off:].copy()
+                remaining.append((_Vma(cut_hi, tail), _run_base(tail)))
         if covered != end_vpn - start_vpn:
             raise TranslationFault(
                 f"unmap range [{r.start:#x}, {r.end:#x}) has unmapped pages"
             )
-        remaining.sort(key=lambda v: v.start_vpn)
-        self._vmas = remaining
-        self._starts = [vma.start_vpn for vma in remaining]
+        remaining.sort(key=lambda entry: entry[0].start_vpn)
+        self._vmas = [vma for vma, _ in remaining]
+        self._starts = [vma.start_vpn for vma in self._vmas]
+        self._runs = [run for _, run in remaining]
         return np.concatenate(released) if released else np.empty(0, dtype=np.int64)
 
     def remap_page(self, va: int, new_pfn: int) -> int:
@@ -113,12 +127,16 @@ class PageTable:
         the mapping-change events Section 3.3.4 enumerates.
         """
         vpn = va >> PAGE_SHIFT
-        vma = self._find_vma(vpn)
-        if vma is None:
+        idx = self._find(vpn)
+        if idx < 0:
             raise TranslationFault(f"remap of unmapped va {va:#x}")
+        vma = self._vmas[idx]
         off = vpn - vma.start_vpn
         old = int(vma.pfns[off])
         vma.pfns[off] = new_pfn
+        run = self._runs[idx]
+        if run is not None and new_pfn != run + off:
+            self._runs[idx] = None
         return old
 
     # -- translation -----------------------------------------------------------
@@ -126,10 +144,29 @@ class PageTable:
     def translate(self, va: int) -> int:
         """VA → PFN for one address; raises :class:`TranslationFault`."""
         vpn = va >> PAGE_SHIFT
-        vma = self._find_vma(vpn)
-        if vma is None:
+        idx = self._find(vpn)
+        if idx < 0:
             raise TranslationFault(f"no mapping for va {va:#x}")
+        vma = self._vmas[idx]
         return int(vma.pfns[vpn - vma.start_vpn])
+
+    def run_pfn(self, start_vpn: int, end_vpn: int) -> int | None:
+        """First PFN of ``[start_vpn, end_vpn)`` if one run maps it all.
+
+        The span then translates to the PFNs ``[pfn, pfn + end_vpn -
+        start_vpn)``.  ``None`` when no single VMA holds the span or the
+        VMA holding it is not a run; callers fall back to :meth:`walk`.
+        """
+        idx = bisect.bisect_right(self._starts, start_vpn) - 1
+        if idx < 0:
+            return None
+        run = self._runs[idx]
+        if run is None:
+            return None
+        vma_start = self._starts[idx]
+        if end_vpn - vma_start > len(self._vmas[idx].pfns):
+            return None
+        return run + start_vpn - vma_start
 
     def walk(self, r: VARange, strict: bool = False) -> np.ndarray:
         """Page-table walk: PFNs of the pages fully inside *r*.
@@ -170,7 +207,7 @@ class PageTable:
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
     def is_mapped(self, va: int) -> bool:
-        return self._find_vma(va >> PAGE_SHIFT) is not None
+        return self._find(va >> PAGE_SHIFT) >= 0
 
     def mapped_pages(self) -> int:
         """Total number of mapped pages."""
@@ -185,13 +222,12 @@ class PageTable:
 
     # -- internals ---------------------------------------------------------------
 
-    def _find_vma(self, vpn: int) -> _Vma | None:
+    def _find(self, vpn: int) -> int:
+        """Index of the VMA mapping *vpn*, or -1."""
         idx = bisect.bisect_right(self._starts, vpn) - 1
-        if idx >= 0:
-            vma = self._vmas[idx]
-            if vma.start_vpn <= vpn < vma.end_vpn:
-                return vma
-        return None
+        if idx >= 0 and vpn < self._vmas[idx].end_vpn:
+            return idx
+        return -1
 
     @staticmethod
     def _aligned_span(r: VARange) -> tuple[int, int]:
@@ -200,3 +236,10 @@ class PageTable:
                 f"range [{r.start:#x}, {r.end:#x}) is not page-aligned"
             )
         return r.start >> PAGE_SHIFT, r.end >> PAGE_SHIFT
+
+
+def _run_base(pfns: np.ndarray) -> int | None:
+    """``pfns[0]`` if *pfns* ascend by one, else ``None``."""
+    if len(pfns) == 0 or not (np.diff(pfns) == 1).all():
+        return None
+    return int(pfns[0])

@@ -32,7 +32,10 @@ class VersionedPages:
         np.add.at(self._versions, pfns, 1)
 
     def bump_range(self, start: int, end: int) -> None:
-        self._versions[start:end] += 1
+        # In place on the view: ``a[i:j] += 1`` would also write the
+        # view back through ``__setitem__``, a copy onto itself.
+        run = self._versions[start:end]
+        run += 1
 
     def bump_counts(self, pfns: np.ndarray, counts: np.ndarray) -> None:
         """Dirty *pfns*, bumping each by its entry in *counts*.

@@ -411,6 +411,22 @@ def test_supervisor_resumes_mid_run_state(tmp_path):
     assert "backoff" in kinds
 
 
+def test_archive_from_the_list_allocator_layout_is_refused(tmp_path, monkeypatch):
+    """State v3 archives pickled the guest's frame allocator as a list
+    and a set; v4 holds arrays, so a v3 archive is refused rather than
+    restored into an allocator with the wrong fields."""
+    from repro.checkpoint import archive
+    from repro.core import build_java_vm
+
+    engine = make_engine(0.005)
+    build_java_vm(workload="derby", **VM_KWARGS).register(engine)
+    monkeypatch.setattr(archive, "STATE_VERSION", 3)
+    write_checkpoint(tmp_path, engine)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointSchemaError, match="v3 cannot be applied to v4"):
+        load_checkpoint(tmp_path).load_state()
+
+
 def test_archive_from_the_two_driver_layout_is_refused(tmp_path, monkeypatch):
     """Archives rooted at a bare MigrationSupervisor (state v1, written
     before the run became the only checkpoint root) are refused with a

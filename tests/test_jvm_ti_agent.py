@@ -105,3 +105,21 @@ def test_detach_stops_participation(tiny_vm):
     assert lkm.transfer_bitmap.count() == domain.n_pages
     chan.send_to_guest(msg.EnterLastIter())
     assert lkm.state is LkmState.SUSPENSION_READY  # nothing to wait for
+
+
+def test_crash_during_enforced_gc_releases_threads_when_it_ends(tiny_vm):
+    domain, kernel, lkm, process, heap, jvm, agent = tiny_vm
+    chan, inbox, engine = wire(tiny_vm)
+    engine.run_until(0.5)
+    chan.send_to_guest(msg.MigrationBegin())
+    chan.send_to_guest(msg.EnterLastIter())  # the LKM sends PrepareSuspension
+    engine.run_until(engine.now + 0.01)
+    assert agent._pending_query_id is not None  # the enforced GC is under way
+    assert jvm.phase is not JvmPhase.HELD
+    agent.crash()
+    engine.run_until(engine.now + 3.0)
+    assert jvm.phase is JvmPhase.RUNNING
+    assert jvm.on_enforced_ready is None
+    ops = jvm.ops_completed
+    engine.run_until(engine.now + 0.5)
+    assert jvm.ops_completed > ops
