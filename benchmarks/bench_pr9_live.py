@@ -59,7 +59,7 @@ def _sweep(live: bool, export_dir: Path) -> tuple[float, list[dict]]:
             link = Link()
             path = export_dir / f"{workload}-{engine}.jsonl"
             t0 = time.perf_counter()
-            sink = JsonlSink(path, flush="line") if live else None
+            sink = JsonlSink(path) if live else None
             result, vm = supervised_migrate(
                 workload=workload,
                 engine_name=engine,

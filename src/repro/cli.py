@@ -46,6 +46,7 @@ import json
 import os
 import sys
 
+from repro.errors import TelemetryFormatError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.sim.engine import KERNEL_ENV_VAR, KERNELS
 
@@ -217,18 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--telemetry-out",
         metavar="FILE",
-        help="write the unified JSONL export (spans + metrics + events)",
-    )
-    telemetry.add_argument(
-        "--telemetry-flush",
-        choices=("line", "interval", "close"),
-        default="close",
         help=(
-            "when --telemetry-out records hit the disk: 'line' streams "
-            "every record as it happens (tail it with 'watch --follow'), "
-            "'interval' flushes every 0.25s of wall clock, 'close' "
-            "buffers until the run ends (default — the batch exporter's "
-            "write pattern and overhead)"
+            "stream the unified JSONL export (spans + metrics + events) "
+            "as the run goes; tail it with 'watch --follow'"
         ),
     )
     watch = parser.add_argument_group("watch options")
@@ -342,30 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_sink(args: argparse.Namespace):
-    """A streaming sink for --telemetry-out, or None for the batch path.
+def _write_telemetry_outputs(args: argparse.Namespace, driver, payload: dict) -> None:
+    from repro.service.session import finish_stream
+    from repro.telemetry import write_chrome_trace, write_metrics_json
 
-    The default 'close' policy keeps the batch exporter's single
-    write-at-end (its measured overhead); 'line'/'interval' mirror
-    records onto the file as they happen so a concurrent ``repro watch
-    --follow`` sees the run live.
-    """
-    if not args.telemetry_out or args.telemetry_flush == "close":
-        return None
-    from repro.telemetry.live import JsonlSink
-
-    return JsonlSink(args.telemetry_out, flush=args.telemetry_flush)
-
-
-def _write_telemetry_outputs(
-    args: argparse.Namespace,
-    probe: object,
-    attributions: "list[dict] | None" = None,
-    sink: object | None = None,
-) -> None:
-    from repro.telemetry import write_chrome_trace, write_jsonl, write_metrics_json
-
-    if probe is None or not probe.enabled:
+    probe = driver.vm.probe
+    if not probe.enabled:
         return
     if args.trace_out:
         write_chrome_trace(args.trace_out, probe.tracer)
@@ -373,14 +347,9 @@ def _write_telemetry_outputs(
     if args.metrics_out:
         write_metrics_json(args.metrics_out, probe.metrics)
         print(f"wrote metrics: {args.metrics_out}", file=sys.stderr)
-    if args.telemetry_out:
-        if sink is not None:
-            # Streaming mode: instants/samples/events already went out
-            # live; append the batch-only records and fsync.
-            n = sink.finalize(probe=probe, attributions=attributions)
-        else:
-            n = write_jsonl(args.telemetry_out, probe=probe, attributions=attributions)
-        print(f"wrote {n} telemetry records: {args.telemetry_out}", file=sys.stderr)
+    n = finish_stream(driver, payload)
+    if n is not None:
+        print(f"wrote {n} telemetry records: {probe.sink.path}", file=sys.stderr)
 
 
 def _audit_verdict(args: argparse.Namespace, violations: list[str]) -> int | None:
@@ -444,7 +413,7 @@ def _spec(args: argparse.Namespace):
     return SessionConfig(**fields)
 
 
-def _print_run(args: argparse.Namespace, driver, sink=None) -> int:
+def _print_run(args: argparse.Namespace, driver) -> int:
     """Print a finished run — ``--json`` prints its payload — and
     return the exit code: 0 iff the migration succeeded and verified."""
     from repro.service.session import run_payload
@@ -452,7 +421,7 @@ def _print_run(args: argparse.Namespace, driver, sink=None) -> int:
     payload = run_payload(driver)
     ledgers = payload["attribution"]
     probe = driver.vm.probe
-    _write_telemetry_outputs(args, probe, attributions=ledgers, sink=sink)
+    _write_telemetry_outputs(args, driver, payload)
     if args.experiment == "trace" and probe.enabled:
         print(probe.tracer.phase_table())
     report = driver.result.report
@@ -472,16 +441,19 @@ def _print_run(args: argparse.Namespace, driver, sink=None) -> int:
 
 
 def _run_migrate(args: argparse.Namespace) -> int:
+    from repro.telemetry.live import JsonlSink
+
     spec = _spec(args)
-    sink = _make_sink(args)
-    driver = spec.build_driver(sink)
+    driver = spec.build_driver(
+        JsonlSink(args.telemetry_out) if args.telemetry_out else None
+    )
     checkpointer = None
     if args.checkpoint_dir:
         checkpointer = spec.checkpointer(
             args.checkpoint_dir, args.checkpoint_every, _max_overhead(args)
         )
     driver.run(checkpointer)
-    return _print_run(args, driver, sink=sink)
+    return _print_run(args, driver)
 
 
 def _run_resume(args: argparse.Namespace) -> int:
@@ -491,6 +463,10 @@ def _run_resume(args: argparse.Namespace) -> int:
 
     if not args.checkpoint_dir:
         print("resume needs --checkpoint-dir", file=sys.stderr)
+        return 2
+    if args.telemetry_out:
+        print("resume finalizes the stream the checkpointed run was writing; "
+              "--telemetry-out cannot start another", file=sys.stderr)
         return 2
     resumed = resume(args.checkpoint_dir)
     try:
@@ -615,9 +591,7 @@ def _run_watch(args: argparse.Namespace) -> int:
     finished = False
     while True:
         for tail, status in tails:
-            status.feed_all(tail.poll())
-            status.stream_missed = tail.corrupt_lines
-            board.update(status)
+            board.update(status.follow(tail))
         finished = all(status.finished for _, status in tails)
         if not args.follow or finished or time.monotonic() >= deadline:
             break
@@ -813,16 +787,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.kernel:
         # Every engine is built through make_engine(), which reads this.
         os.environ[KERNEL_ENV_VAR] = args.kernel
-    if args.experiment == "doctor":
-        return _run_doctor(args)
-    if args.experiment == "compare":
-        return _run_compare(args)
-    if args.experiment == "attribute":
-        return _run_attribute(args)
+    readers = {
+        "doctor": _run_doctor,
+        "compare": _run_compare,
+        "attribute": _run_attribute,
+        "archive": _run_archive,
+    }
+    if args.experiment in readers:
+        try:
+            return readers[args.experiment](args)
+        except TelemetryFormatError as exc:  # a file that is no stream
+            print(exc, file=sys.stderr)
+            return 2
     if args.experiment == "watch":
         return _run_watch(args)
-    if args.experiment == "archive":
-        return _run_archive(args)
     if args.experiment == "resume":
         return _run_resume(args)
     if args.experiment == "serve":

@@ -70,6 +70,10 @@ class SimulationError(ReproError):
     """The discrete-time engine was misused (e.g. time moved backwards)."""
 
 
+class TelemetryFormatError(ReproError, ValueError):
+    """A file handed to a telemetry reader is not a telemetry stream."""
+
+
 class CheckpointError(ReproError):
     """A checkpoint archive could not be written, read, or applied."""
 

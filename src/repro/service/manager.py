@@ -236,7 +236,7 @@ class MigrationManager:
                 if session.directory is not None
                 else None
             )
-            if path is not None and os.path.exists(path):
-                status.feed_all(FileTail(path).poll())
+            if path is not None:
+                status.follow(FileTail(path))
             board.update(status)
         return board

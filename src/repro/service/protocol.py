@@ -79,7 +79,12 @@ def encode(message: dict) -> bytes:
 
 
 def decode(line: bytes) -> dict:
-    message = json.loads(line.decode("utf-8"))
+    try:
+        message = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        # a line under the stream limit can still nest past the parser's
+        # recursion limit ("[" * 60000): refuse it like any bad JSON
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(message, dict):
         raise ValueError("protocol messages must be JSON objects")
     return message

@@ -20,7 +20,7 @@ Everything durable lives under the session's directory::
 
     <root>/sessions/<id>/
         session.json     admin record (config + lifecycle state)
-        telemetry.jsonl  the session's live progress feed (PR 9 sink)
+        telemetry.jsonl  the session's telemetry stream, finalized at the end
         ckpts/           cadence checkpoints + write-ahead journal
         result.json      final payload, written once, survives restarts
 """
@@ -316,6 +316,18 @@ def run_payload(driver) -> dict:
     return experiment_payload(driver.result, driver.vm, driver.link)
 
 
+def finish_stream(driver, payload: dict) -> int | None:
+    """Complete the telemetry stream a finished *driver* writes: append
+    its spans, metrics and drop counters plus *payload*'s attribution
+    ledgers, then close it.  Returns the stream's record count, or None
+    when the run streams nowhere.  The one place a stream is finalized:
+    ``repro migrate``, ``repro resume`` and sessions all end here."""
+    probe = driver.vm.probe
+    if probe.sink is None:
+        return None
+    return probe.sink.finalize(probe=probe, attributions=payload.get("attribution"))
+
+
 def run_standalone(config: SessionConfig) -> dict:
     """Run *config* to completion in-process, no manager, no slicing.
 
@@ -369,7 +381,6 @@ class MigrationSession:
         self._admin = _Admin(id=session_id)
         self.driver = None
         self.checkpointer = None
-        self._sink = None
         self.result_payload: dict | None = None
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -447,7 +458,7 @@ class MigrationSession:
             return None
         from repro.telemetry.live import JsonlSink
 
-        return JsonlSink(self._path("telemetry.jsonl"), flush="line")
+        return JsonlSink(self._path("telemetry.jsonl"))
 
     def _make_checkpointer(self):
         if self.checkpoint_every_s is None or self.directory is None:
@@ -462,9 +473,8 @@ class MigrationSession:
             raise SessionError(
                 f"session {self.id} cannot start from state {self.state}"
             )
-        self._sink = self._make_sink()
         try:
-            self.driver = self.config.build_driver(sink=self._sink)
+            self.driver = self.config.build_driver(sink=self._make_sink())
             self.checkpointer = self._make_checkpointer()
         except Exception as exc:  # noqa: BLE001 — a config that cannot
             # even build (e.g. no room for an Old generation) fails its
@@ -493,13 +503,11 @@ class MigrationSession:
 
             restored = resume(ckpt_dir, expect_config=self.config.fingerprint())
         if restored is None:
-            self._sink = self._make_sink()
-            self.driver = self.config.build_driver(sink=self._sink)
+            self.driver = self.config.build_driver(sink=self._make_sink())
         else:
+            # The pickled graph carries the session's JsonlSink; its first
+            # write cuts the stream back to where the checkpoint left it.
             self.driver = restored_driver(restored.controller)
-            # The pickled graph carries the session's JsonlSink; it
-            # reopened itself append-mode on restore.
-            self._sink = getattr(self.driver.vm.probe, "sink", None)
         self.checkpointer = self._make_checkpointer()
 
     def step_slice(self, slice_s: float) -> bool:
@@ -525,19 +533,24 @@ class MigrationSession:
 
     def _finish(self, state: str, payload: dict, error: str | None = None) -> None:
         """Enter terminal *state*: store the result *payload* durably
-        (it survives restarts), close the telemetry stream, snapshot the
-        driver's progress, persist, and let go of the simulation."""
+        (it survives restarts), finalize the telemetry stream, snapshot
+        the driver's progress, persist, and let go of the simulation."""
         self._admin.state = state
         if error is not None:
             self._admin.error = error
         self.result_payload = payload
         self._write_json("result.json", payload)
-        if self._sink is not None:
-            self._sink.close()
         if self.driver is not None:
+            probe = self.driver.vm.probe
+            if state != FAILED:
+                finish_stream(self.driver, payload)
+            elif probe.sink is not None:
+                # the failure may be the stream's own (a refused resume,
+                # a full disk): writing more would raise out of _fail
+                probe.sink.close()
             self._admin.progress = self._progress()
         self._persist_admin()
-        self.driver = self.checkpointer = self._sink = None
+        self.driver = self.checkpointer = None
 
     # -- control verbs ------------------------------------------------------------------
 

@@ -28,8 +28,8 @@ every layer shares:
   online :class:`~repro.telemetry.analysis.ConvergenceMonitor`, the
   rule-based :class:`~repro.telemetry.analysis.Doctor` and the
   run-to-run :func:`~repro.telemetry.analysis.compare_runs` comparator;
-- :mod:`repro.telemetry.live` — the streaming half: sinks mirror
-  records as they happen, tails consume them incrementally, and
+- :mod:`repro.telemetry.live` — the streaming half: the sink mirrors
+  records as they happen, a tail consumes them incrementally, and
   :class:`LiveStatus` / :class:`FleetBoard` fold them into live
   per-migration status and fleet-wide percentile rollups
   (``repro watch``);
@@ -80,8 +80,6 @@ from repro.telemetry.live import (  # noqa: E402
     FleetBoard,
     JsonlSink,
     LiveStatus,
-    RingSink,
-    RingTail,
     StreamSink,
     watch_file,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "NULL_PROBE",
     "NullProbe",
     "Probe",
-    "RingSink",
-    "RingTail",
     "RunArchive",
     "Series",
     "Span",

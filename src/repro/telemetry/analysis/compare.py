@@ -206,7 +206,7 @@ def summarize_bench(payload: dict) -> dict[str, dict[str, float]]:
 
 def load_run(path: "str | Path") -> dict[str, dict[str, float]]:
     """Sniff *path* (telemetry JSONL vs bench JSON) and summarize it."""
-    text = Path(path).read_text()
+    text = Path(path).read_bytes().decode("utf-8", "replace")
     stripped = text.lstrip()
     if stripped.startswith("{") and '"runs"' in text:
         try:

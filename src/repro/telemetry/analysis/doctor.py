@@ -34,9 +34,10 @@ Rule catalogue (see ``docs/OBSERVABILITY.md`` for the full table):
   (the export itself is lossy: treat absence of evidence carefully);
 - ``stream-gap`` — the stream lost records that live consumers depend
   on: sample drops on the convergence series (dirty rate, effective
-  bandwidth, pages remaining), record kinds this reader skipped, or
-  heavy event-log eviction — any of which makes the live board's ETAs
-  start from an incomplete record set;
+  bandwidth, pages remaining), record kinds this reader skipped, lines
+  that did not decode (corrupt or torn), or heavy event-log eviction —
+  any of which makes the live board's ETAs start from an incomplete
+  record set;
 - ``resumed-run`` — the run was restored from a durable checkpoint
   (``checkpoint-restore`` span present); flags the gap between the
   checkpoint instant and the crashed run's last journaled decision;
@@ -580,7 +581,8 @@ def rule_stream_gap(dump: TelemetryDump, thresholds: dict) -> list[Finding]:
     escalates to a warning when the loss is the kind that corrupts a
     live reading: convergence-series samples evicted (the ETA replay is
     missing its oldest observations), record kinds skipped as unknown
-    (a newer writer than this reader), or event eviction past
+    (a newer writer than this reader), lines that did not decode
+    (corrupt, or torn by a crash), or event eviction past
     ``stream_gap_events`` (the narrative around the remaining records
     is gone).  The counts are the evidence.
     """
@@ -629,6 +631,23 @@ def rule_stream_gap(dump: TelemetryDump, thresholds: dict) -> list[Finding]:
                 evidence=tuple(
                     f"record-kind:{kind}" for kind in sorted(dump.unknown_records)
                 ),
+            )
+        )
+    if dump.corrupt_lines or dump.torn_lines:
+        findings.append(
+            Finding(
+                rule="stream-gap",
+                severity="warning",
+                title=(
+                    f"reader skipped {dump.corrupt_lines + dump.torn_lines} "
+                    f"stream line(s) that did not decode — the records on "
+                    f"them are missing from every reading"
+                ),
+                detail=(
+                    f"{dump.corrupt_lines} corrupt, {dump.torn_lines} torn "
+                    f"at the end (a crashed or still-running writer)"
+                ),
+                evidence=("stream:lines",),
             )
         )
     if dump.dropped_events > thresholds["stream_gap_events"]:

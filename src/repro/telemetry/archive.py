@@ -6,8 +6,8 @@ how did downtime trend across the last six benchmark generations, what
 did iteration 7 of attempt 2 of run ``9f31c02a77d4`` look like?  The
 archive answers those without re-parsing JSONL: ``repro archive
 ingest`` indexes telemetry streams and ``BENCH_*.json`` payloads into
-queryable tables, and every raw line is retained so the exact original
-stream (and therefore the exact original
+queryable tables, and every complete raw line is retained so the exact
+original stream (and therefore the exact original
 :class:`~repro.telemetry.export.TelemetryDump`) can always be rebuilt —
 ``--from-archive RUN_ID`` feeds ``repro doctor`` / ``repro compare``
 straight from the database.
@@ -38,7 +38,7 @@ import re
 import sqlite3
 from pathlib import Path
 
-from repro.telemetry.export import TelemetryDump, dump_from_records
+from repro.telemetry.export import TelemetryDump, read_stream
 
 SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -175,34 +175,30 @@ class RunArchive:
         )
         if cur.fetchone() is not None:
             return run_id, False
-        text = path.read_text()
-        lines = text.splitlines()
-        first = lines[0] if lines else ""
-        if _looks_like_bench(first, text[:4096]):
-            self._ingest_bench(run_id, path, json.loads(text))
+        data = path.read_bytes()
+        head = data[:4096].decode("utf-8", "replace")
+        if _looks_like_bench(head.split("\n", 1)[0], head):
+            self._ingest_bench(run_id, path, json.loads(data))
         else:
-            self._ingest_telemetry(run_id, path, lines)
+            self._ingest_telemetry(run_id, path, data)
         self._conn.commit()
         return run_id, True
 
-    def _ingest_telemetry(self, run_id: str, path: Path, lines: list[str]) -> None:
-        records = []
-        stored = 0
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            self._conn.execute(
-                "INSERT INTO raw_lines (run_id, line_no, line) VALUES (?, ?, ?)",
-                (run_id, stored, line),
-            )
-            stored += 1
-            records.append(json.loads(line))
-        dump = dump_from_records(records)
+    def _ingest_telemetry(self, run_id: str, path: Path, data: bytes) -> None:
+        """Index the stream's records and keep each complete non-blank
+        line, a corrupt one included; a torn last line is counted (and
+        warned about) but not kept."""
+        dump = read_stream(data, str(path))
+        lines = [raw.strip() for raw in data.split(b"\n")[:-1]]
+        lines = [raw.decode("utf-8", "replace") for raw in lines if raw]
+        self._conn.executemany(
+            "INSERT INTO raw_lines (run_id, line_no, line) VALUES (?, ?, ?)",
+            [(run_id, i, line) for i, line in enumerate(lines)],
+        )
         self._conn.execute(
             "INSERT INTO runs (run_id, kind, name, path, n_records)"
             " VALUES (?, 'telemetry', ?, ?, ?)",
-            (run_id, dump.schema, str(path), stored),
+            (run_id, dump.schema, str(path), len(lines)),
         )
         self._index_dump(run_id, dump)
 
@@ -344,16 +340,18 @@ class RunArchive:
 
     def export_stream(self, run_id: str, out: str | Path) -> int:
         """Write the archived run back out as the original stream file
-        (byte-for-byte modulo blank lines); returns lines written."""
+        (byte-for-byte modulo blank lines and a torn last line); returns
+        lines written."""
         lines = self.raw_lines(run_id)
         Path(out).write_text("\n".join(lines) + "\n")
         return len(lines)
 
     def dump(self, run_id: str) -> TelemetryDump:
         """The archived stream rebuilt as a parsed dump — identical to
-        :func:`~repro.telemetry.export.read_jsonl` on the source file."""
-        records = [json.loads(line) for line in self.raw_lines(run_id)]
-        return dump_from_records(records)
+        :func:`~repro.telemetry.export.read_jsonl` on the source file,
+        save for the torn last line the archive does not keep."""
+        lines = self.raw_lines(run_id)
+        return read_stream(("\n".join(lines) + "\n").encode("utf-8"), run_id)
 
     def query(self, run_id: str) -> dict:
         """A structured summary of one archived run."""

@@ -20,6 +20,9 @@ too: record kinds it does not know are counted and reported through one
 warning instead of failing the parse, so older readers survive newer
 streams.
 
+:func:`decode_stream` is the one place stream bytes become records: the
+live tail, :func:`read_jsonl` and the run archive all call it, so a
+torn last line or a corrupt one is handled the same way everywhere.
 :func:`read_jsonl` round-trips the stream back into plain structures,
 and :func:`write_chrome_trace` / :func:`write_metrics_json` cover the
 two single-format outputs the CLI exposes (``--trace-out`` /
@@ -33,6 +36,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import TelemetryFormatError
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.probe import Probe
 from repro.telemetry.timeseries import TimeseriesStore
@@ -122,6 +126,10 @@ class TelemetryDump:
     #: record kinds this reader did not recognize -> occurrence count
     #: (forward compatibility: newer streams parse with a warning)
     unknown_records: dict[str, int] = field(default_factory=dict)
+    #: complete lines that did not decode into a typed record
+    corrupt_lines: int = 0
+    #: 1 when the stream ends in an unterminated line (a torn write)
+    torn_lines: int = 0
 
     def metric_value(self, name: str, default: float = 0.0) -> float:
         for m in self.metrics:
@@ -168,7 +176,8 @@ def absorb_record(dump: TelemetryDump, record: dict) -> None:
         dump.unknown_records[kind] = dump.unknown_records.get(kind, 0) + 1
 
 
-def _warn_unknown(dump: TelemetryDump) -> None:
+def _warn_lost(dump: TelemetryDump) -> None:
+    """One warning per unknown record kind, and one for lost lines."""
     for kind in sorted(dump.unknown_records):
         warnings.warn(
             f"skipped {dump.unknown_records[kind]} unknown telemetry "
@@ -176,35 +185,80 @@ def _warn_unknown(dump: TelemetryDump) -> None:
             f"reader schema {SCHEMA!r})",
             stacklevel=3,
         )
+    if dump.corrupt_lines or dump.torn_lines:
+        warnings.warn(
+            f"skipped {dump.corrupt_lines} corrupt telemetry line(s) and "
+            f"{dump.torn_lines} torn last line(s)",
+            stacklevel=3,
+        )
+
+
+def decode_stream(data: bytes) -> tuple[list[dict], int, int]:
+    """Decode stream bytes into typed records: the one telemetry reader.
+
+    Returns ``(records, consumed, corrupt)``.  Only bytes up to the last
+    newline are consumed: an unterminated last line (a torn write, or a
+    writer still mid-record) is left for the caller to re-read or count.
+    Blank lines are skipped; a complete line that does not decode into
+    a JSON object with a string ``type`` is counted in *corrupt* and
+    skipped, nesting deep enough to exhaust the parser's recursion
+    included.
+    """
+    consumed = data.rfind(b"\n") + 1
+    records: list[dict] = []
+    corrupt = 0
+    for raw in data[:consumed].split(b"\n"):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except (ValueError, RecursionError):
+            record = None
+        if isinstance(record, dict) and isinstance(record.get("type"), str):
+            records.append(record)
+        else:
+            corrupt += 1
+    return records, consumed, corrupt
+
+
+def _fold(dump: TelemetryDump, records) -> TelemetryDump:
+    for record in records:
+        absorb_record(dump, dict(record))
+    _warn_lost(dump)
+    return dump
 
 
 def dump_from_records(records: "list[dict]") -> TelemetryDump:
     """Rebuild a dump from already-decoded typed records (each record
     is copied, not consumed).  Same forward-compatibility contract as
     :func:`read_jsonl`: unknown kinds are counted and warned about."""
-    dump = TelemetryDump()
-    for record in records:
-        absorb_record(dump, dict(record))
-    _warn_unknown(dump)
-    return dump
+    return _fold(TelemetryDump(), records)
+
+
+def read_stream(data: bytes, source: str) -> TelemetryDump:
+    """Parse stream bytes into a dump; *source* names them in errors.
+
+    Corrupt lines and a torn last line are counted on the dump
+    (``corrupt_lines``/``torn_lines``) and reported through one
+    :class:`UserWarning`, like unknown record kinds.  Bytes whose first
+    record is not the ``meta`` header are not a telemetry stream and
+    raise :class:`~repro.errors.TelemetryFormatError`.
+    """
+    records, consumed, corrupt = decode_stream(data)
+    if not records or records[0]["type"] != "meta":
+        raise TelemetryFormatError(
+            f"{source}: not a telemetry stream (no meta header record first)"
+        )
+    dump = TelemetryDump(
+        corrupt_lines=corrupt, torn_lines=int(bool(data[consumed:].strip()))
+    )
+    return _fold(dump, records)
 
 
 def read_jsonl(path: str | Path) -> TelemetryDump:
-    """Parse a unified stream back into structured lists (round-trip).
-
-    Unknown record kinds (from schemas newer than this reader) are
-    skipped, counted in ``dump.unknown_records``, and reported via one
-    :class:`UserWarning` per kind — never a parse failure.
-    """
-    dump = TelemetryDump()
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            absorb_record(dump, json.loads(line))
-    _warn_unknown(dump)
-    return dump
+    """Parse a unified stream file back into structured lists
+    (round-trip); see :func:`read_stream` for what is tolerated."""
+    return read_stream(Path(path).read_bytes(), str(path))
 
 
 def write_chrome_trace(path: str | Path, tracer: Tracer) -> int:

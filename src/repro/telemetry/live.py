@@ -1,4 +1,4 @@
-"""Live telemetry streaming: sinks, tails, per-migration status, fleet board.
+"""Live telemetry streaming: sink, tail, per-migration status, fleet board.
 
 The post-mortem pipeline (export → read → doctor/attribute) answers
 questions about *finished* runs.  A fleet orchestrator needs the same
@@ -7,19 +7,22 @@ is its downtime ETA, which rescue rung is it on, how do the p95s look
 across the fleet?  This module is that live half, built around the same
 ``repro-telemetry/3`` records the batch exporter writes:
 
-- **Sinks** (:class:`JsonlSink`, :class:`RingSink`) attach to a
+- :class:`JsonlSink` attaches to a
   :class:`~repro.telemetry.probe.Probe` and an
-  :class:`~repro.sim.eventlog.EventLog` and mirror instants, samples
-  and events onto a stream *as they happen*; spans, metrics and the
-  remaining batch-only kinds are appended once by
+  :class:`~repro.sim.eventlog.EventLog` and mirrors instants, samples
+  and events onto a file *as they happen*, flushed per line; spans,
+  metrics and the remaining batch-only kinds are appended once by
   :meth:`~StreamSink.finalize`, so a finished stream parses into the
   same dump a batch :func:`~repro.telemetry.export.write_jsonl` export
   would (record order differs; :func:`~repro.telemetry.export.read_jsonl`
-  is order-insensitive).
-- **Tails** (:class:`FileTail`, :class:`RingTail`) consume a stream
-  incrementally — never re-reading from offset zero — and tolerate a
-  torn tail exactly like the checkpoint journal: a partial last line is
-  left unconsumed and re-read once completed.
+  is order-insensitive).  It is how every run writes telemetry:
+  ``repro migrate --telemetry-out``, ``repro resume`` and daemon
+  sessions alike.
+- :class:`FileTail` consumes a stream incrementally — never re-reading
+  from offset zero — through the one decoder,
+  :func:`~repro.telemetry.export.decode_stream`: a partial last line is
+  left unconsumed and re-read once completed, like the checkpoint
+  journal's torn tail.
 - :class:`LiveStatus` folds the streamed records into one migration's
   current state: phase, iteration table, pages remaining, skip-adjusted
   dirty rate, effective bandwidth, a record-granularity
@@ -44,28 +47,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
-from collections import deque
 from pathlib import Path
 
+from repro.errors import CheckpointError
 from repro.telemetry.analysis.convergence import ConvergenceMonitor
-from repro.telemetry.export import SCHEMA, telemetry_records
-
-#: flush policies for :class:`JsonlSink` (the ``--telemetry-flush`` flag)
-FLUSH_POLICIES = ("line", "interval", "close")
+from repro.telemetry.export import SCHEMA, decode_stream, telemetry_records
 
 #: fleet rollup quantiles, in exposition order
 QUANTILES = (0.5, 0.95, 0.99)
 
 
-def final_records(
-    probe=None,
-    tracer=None,
-    metrics=None,
-    event_log=None,
-    timeseries=None,
-    attributions=None,
-) -> list[dict]:
+def final_records(probe, attributions=None) -> list[dict]:
     """The batch-only records a sink appends at finalize.
 
     Spans close (and mutate their args) until the very end of a run and
@@ -74,26 +66,12 @@ def final_records(
     samples, the meta header) is filtered out here so nothing is
     emitted twice.
     """
-    if probe is not None and probe.enabled:
-        tracer = tracer if tracer is not None else probe.tracer
-        metrics = metrics if metrics is not None else probe.metrics
-        event_log = event_log if event_log is not None else probe.event_log
-        timeseries = timeseries if timeseries is not None else probe.timeseries
-        event_log = None if event_log is None else _DroppedOnly(event_log)
-    records = telemetry_records(tracer, metrics, event_log, timeseries, attributions)
+    records = telemetry_records(
+        probe.tracer, probe.metrics, probe.event_log, probe.timeseries,
+        attributions,
+    )
     live_kinds = {"meta", "instant", "event", "sample"}
     return [r for r in records if r["type"] not in live_kinds]
-
-
-class _DroppedOnly:
-    """EventLog view exposing only the ``dropped`` counter — the events
-    themselves were already streamed live."""
-
-    def __init__(self, event_log) -> None:
-        self.dropped = getattr(event_log, "dropped", 0)
-
-    def events(self):
-        return []
 
 
 class StreamSink:
@@ -103,8 +81,6 @@ class StreamSink:
         self.records_written = 0
 
     def emit(self, record: dict) -> None:
-        # The counter must still read 0 while the meta header is being
-        # written: JsonlSink uses it to pick truncate-vs-append mode.
         if self.records_written == 0:
             self._write({"type": "meta", "schema": SCHEMA})
             self.records_written += 1
@@ -114,14 +90,10 @@ class StreamSink:
     def _write(self, record: dict) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def finalize(
-        self, probe=None, attributions=None, **stores
-    ) -> int:
+    def finalize(self, probe, attributions=None) -> int:
         """Append the batch-only records (spans, metrics, drop counters,
         attributions) and close the sink.  Returns total records."""
-        for record in final_records(
-            probe=probe, attributions=attributions, **stores
-        ):
+        for record in final_records(probe, attributions):
             self.emit(record)
         self.close()
         return self.records_written
@@ -131,52 +103,48 @@ class StreamSink:
 
 
 class JsonlSink(StreamSink):
-    """A file-backed streaming sink with a flush/fsync policy.
+    """The file-backed streaming sink, flushed after every record.
 
-    - ``line`` — flush after every record: a tail sees each record as
-      soon as it is written (the live-board mode);
-    - ``interval`` — flush at most every *interval_s* wall seconds:
-      bounded staleness at a fraction of the syscall cost;
-    - ``close`` — OS-buffered until :meth:`close` (the default: same
-      write pattern as the batch exporter, preserving its <5 % overhead
-      gate).
-
-    All policies fsync once at close.  The sink is pickle-safe (it
-    rides inside checkpointed controller graphs): the file handle is
-    dropped on pickling and reopened in append mode on first use after
-    restore, so a resumed run continues the same stream file.
+    A tail sees each record as soon as it is written; the file is
+    fsynced once at :meth:`close`.  The first write truncates a stale
+    file at *path*.  The sink is pickle-safe (it rides inside
+    checkpointed controller graphs): the file handle is dropped on
+    pickling, while the byte length written so far travels with it.
+    The first write after a restore truncates the file back to that
+    length — the resumed run re-emits everything after its checkpoint,
+    so what the crashed run wrote past it (a torn line included) must
+    not stay on disk twice — and refuses a file shorter than that,
+    which is not the stream this run was writing.
     """
 
-    def __init__(
-        self, path: str | Path, flush: str = "line", interval_s: float = 0.25
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         super().__init__()
-        if flush not in FLUSH_POLICIES:
-            raise ValueError(
-                f"unknown flush policy {flush!r} (choose from {FLUSH_POLICIES})"
-            )
         self.path = str(path)
-        self.flush = flush
-        self.interval_s = interval_s
+        self.bytes_written = 0
         self._fh = None
-        self._last_flush = 0.0
 
     def _file(self):
         if self._fh is None:
-            mode = "w" if self.records_written == 0 else "a"
-            self._fh = open(self.path, mode)
+            if self.bytes_written == 0:
+                self._fh = open(self.path, "wb")
+                return self._fh
+            size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+            if size < self.bytes_written:
+                raise CheckpointError(
+                    f"telemetry stream {self.path} holds {size} bytes, fewer "
+                    f"than the {self.bytes_written} this run had written"
+                )
+            self._fh = open(self.path, "r+b")
+            self._fh.truncate(self.bytes_written)
+            self._fh.seek(self.bytes_written)
         return self._fh
 
     def _write(self, record: dict) -> None:
+        line = (json.dumps(record) + "\n").encode("utf-8")
         fh = self._file()
-        fh.write(json.dumps(record) + "\n")
-        if self.flush == "line":
-            fh.flush()
-        elif self.flush == "interval":
-            now = time.monotonic()
-            if now - self._last_flush >= self.interval_s:
-                fh.flush()
-                self._last_flush = now
+        fh.write(line)
+        fh.flush()
+        self.bytes_written += len(line)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -187,69 +155,19 @@ class JsonlSink(StreamSink):
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_fh"] = None  # reopened append-mode on next write
+        state["_fh"] = None  # reopened, truncated to bytes_written, on next write
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-
-class RingSink(StreamSink):
-    """An in-process bounded ring a :class:`RingTail` consumes.
-
-    Each record carries a monotonically increasing sequence number, so
-    a tail that falls behind a full ring knows exactly how many records
-    it missed instead of silently re-reading from offset zero.
-    """
-
-    def __init__(self, capacity: int = 65536) -> None:
-        super().__init__()
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self.seq = 0  # sequence number of the newest record
-        self.dropped = 0
-        self._buf: deque[tuple[int, dict]] = deque()
-
-    def _write(self, record: dict) -> None:
-        self.seq += 1
-        self._buf.append((self.seq, record))
-        while len(self._buf) > self.capacity:
-            self._buf.popleft()
-            self.dropped += 1
-
-
-class RingTail:
-    """Incremental reader over a :class:`RingSink` (never restarts)."""
-
-    def __init__(self, ring: RingSink) -> None:
-        self.ring = ring
-        self._next = 1  # first sequence number not yet consumed
-        self.missed = 0  # records evicted before this tail saw them
-
-    def poll(self) -> list[dict]:
-        """Records emitted since the last poll (oldest first)."""
-        buf = self.ring._buf
-        if not buf:
-            return []
-        first_seq = buf[0][0]
-        if first_seq > self._next:
-            self.missed += first_seq - self._next
-            self._next = first_seq
-        out = [rec for seq, rec in buf if seq >= self._next]
-        self._next = buf[-1][0] + 1
-        return out
 
 
 class FileTail:
     """Incremental JSONL reader resuming at a byte offset.
 
-    Only byte ranges ending in a newline are consumed: a mid-record
-    crash (or a reader racing the writer) leaves a partial last line,
-    which stays unconsumed — the offset does not advance past it, and
-    the next poll re-reads it once the newline lands.  This mirrors the
-    checkpoint journal's torn-tail tolerance.  A *complete* line that
-    still fails to decode is counted in ``corrupt_lines`` and skipped.
+    Each poll decodes what was appended through
+    :func:`~repro.telemetry.export.decode_stream`: a mid-record crash (or
+    a reader racing the writer) leaves a partial last line, which stays
+    unconsumed — the offset does not advance past it, and the next poll
+    re-reads it once the newline lands.  A *complete* line that still
+    fails to decode is counted in ``corrupt_lines`` and skipped.
     """
 
     def __init__(self, path: str | Path, offset: int = 0) -> None:
@@ -266,20 +184,9 @@ class FileTail:
         with fh:
             fh.seek(self.offset)
             data = fh.read()
-        cut = data.rfind(b"\n")
-        if cut < 0:
-            return []  # nothing new, or only a torn tail
-        chunk = data[: cut + 1]
-        records: list[dict] = []
-        for raw in chunk.split(b"\n"):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                records.append(json.loads(raw))
-            except ValueError:
-                self.corrupt_lines += 1
-        self.offset += len(chunk)
+        records, consumed, corrupt = decode_stream(data)
+        self.offset += consumed
+        self.corrupt_lines += corrupt
         return records
 
 
@@ -394,6 +301,13 @@ class LiveStatus:
     def feed_all(self, records: list[dict]) -> "LiveStatus":
         for record in records:
             self.feed(record)
+        return self
+
+    def follow(self, tail: FileTail) -> "LiveStatus":
+        """Fold in what *tail* gained since its last poll, and carry its
+        corrupt-line count into ``stream_missed``."""
+        self.feed_all(tail.poll())
+        self.stream_missed = tail.corrupt_lines
         return self
 
     def _turn_attempt(self, attempt: int) -> None:
@@ -583,14 +497,10 @@ def watch_file(
     path: str | Path, name: str | None = None, monitor_kwargs: dict | None = None
 ) -> LiveStatus:
     """One-shot tail: fold everything currently in *path* into a status."""
-    tail = FileTail(path)
-    status = LiveStatus(
+    return LiveStatus(
         name=name if name is not None else Path(path).stem,
         monitor_kwargs=monitor_kwargs,
-    )
-    status.feed_all(tail.poll())
-    status.stream_missed = tail.corrupt_lines
-    return status
+    ).follow(FileTail(path))
 
 
 def percentile(values, q: float) -> float:
@@ -667,9 +577,14 @@ class FleetBoard:
         }
 
     def to_dict(self) -> dict:
+        statuses = self.statuses()
         return {
-            "migrations": [s.to_dict() for s in self.statuses()],
+            "migrations": [s.to_dict() for s in statuses],
             "rollups": self.rollups(),
+            #: corrupt stream lines each tail skipped (only runs with some)
+            "stream_missed": {
+                s.name: s.stream_missed for s in statuses if s.stream_missed
+            },
         }
 
     # -- expositions ---------------------------------------------------------------------
@@ -725,6 +640,7 @@ class FleetBoard:
                 verdict["downtime_eta_s"], run=run,
             )
             sample("repro_migration_aborts_total", s.aborts, run=run)
+            sample("repro_migration_stream_missed_total", s.stream_missed, run=run)
             sample(
                 "repro_migration_rescue_rungs", s.rescue_rung()["rungs"], run=run
             )

@@ -353,8 +353,13 @@ def live_board(board: dict, fleet: bool | None = None) -> str:
     migrations = board.get("migrations", [])
     if not migrations:
         return "(no migrations on the board)"
+    missed = board.get("stream_missed", {})
+    notes = [
+        f"stream {name}: skipped {missed[name]} corrupt line(s)"
+        for name in sorted(missed)
+    ]
     if fleet is not True and len(migrations) == 1:
-        return _status_card(migrations[0])
+        return "\n".join([_status_card(migrations[0]), *notes])
     header = (
         f"{'migration':<20} {'engine':<9} {'phase':<16} {'iter':>4} "
         f"{'pages rem':>10} {'dirty rate':>12} {'eta':>10} {'rungs':>5}"
@@ -392,7 +397,7 @@ def live_board(board: dict, fleet: bool | None = None) -> str:
             f"p95 {fmt_bytes(quantiles.get('p95', 0.0))}  "
             f"p99 {fmt_bytes(quantiles.get('p99', 0.0))}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines + notes)
 
 
 def trend_table(trend: dict) -> str:

@@ -17,8 +17,6 @@ as empty, taking a hit-rate penalty instead of a transfer cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.guest.kernel import GuestKernel
 from repro.guest.lkm import AssistLKM
@@ -42,7 +40,6 @@ class CacheApp(Participant, Actor):
         hot_fraction: float = 0.25,
         write_bytes_per_s: float = MiB(40),
         ops_per_s: float = 10_000.0,
-        rng: np.random.Generator | None = None,
     ) -> None:
         if not 0.0 < hot_fraction <= 1.0:
             raise ConfigurationError("hot fraction must be in (0, 1]")
@@ -53,7 +50,6 @@ class CacheApp(Participant, Actor):
         self.write_bytes_per_s = float(write_bytes_per_s)
         self.ops_per_s = float(ops_per_s)
         self.ops_completed = 0.0
-        self.rng = rng or np.random.default_rng(11)
         self._cursor = 0
         self._held = False
         self.resumed_with_cold_cache = False

@@ -454,7 +454,7 @@ def _live_and_post(kernel: str, workload: str, engine_name: str, tmp_path):
         telemetry=True,
     )
     run = ExperimentRun(experiment)
-    sink = JsonlSink(path, flush="line")
+    sink = JsonlSink(path)
     run.vm.probe.sink = sink
     run.vm.event_log.sink = sink
     result = run.run()
@@ -494,7 +494,7 @@ def test_supervised_wan_live_status_equals_post_mortem(tmp_path, monkeypatch):
 
     monkeypatch.setenv(KERNEL_ENV_VAR, "event")
     path = tmp_path / "wan.jsonl"
-    sink = JsonlSink(path, flush="line")
+    sink = JsonlSink(path)
     result, vm = supervised_migrate(
         workload="derby",
         link=wan_link("continental"),

@@ -2,9 +2,9 @@
 
 The contract under test is the PR's tentpole: a stream tailed while the
 run is in flight must end in *bit-identical* state to a recomputation
-from the finished run's report — and the plumbing around it (flush
-policies, torn tails, ring overrun accounting, the stream-gap doctor
-rule, the watch CLI) must be deterministic and lossless-or-loud.
+from the finished run's report — and the plumbing around it (torn
+tails, the stream-gap doctor rule, the watch CLI) must be deterministic
+and lossless-or-loud.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.telemetry.live import (
     FleetBoard,
     JsonlSink,
     LiveStatus,
-    RingSink,
-    RingTail,
     percentile,
     watch_file,
 )
@@ -37,8 +35,7 @@ def _small_vm() -> dict:
     return {"mem_bytes": MiB(512), "max_young_bytes": MiB(128)}
 
 
-def _streamed_migration(tmp_path, workload="derby", engine="javmm",
-                        flush="line"):
+def _streamed_migration(tmp_path, workload="derby", engine="javmm"):
     """One migration streamed through a JsonlSink; returns (path, result)."""
     path = tmp_path / "run.jsonl"
     experiment = MigrationExperiment(
@@ -46,7 +43,7 @@ def _streamed_migration(tmp_path, workload="derby", engine="javmm",
         telemetry=True, **_small_vm(),
     )
     run = ExperimentRun(experiment)
-    sink = JsonlSink(path, flush=flush)
+    sink = JsonlSink(path)
     run.vm.probe.sink = sink
     run.vm.event_log.sink = sink
     result = run.run()
@@ -58,14 +55,9 @@ def _streamed_migration(tmp_path, workload="derby", engine="javmm",
 # -- sinks -------------------------------------------------------------------------------
 
 
-def test_jsonl_sink_rejects_unknown_flush_policy(tmp_path):
-    with pytest.raises(ValueError):
-        JsonlSink(tmp_path / "x.jsonl", flush="sometimes")
-
-
 def test_jsonl_sink_line_flush_is_tailable_before_close(tmp_path):
     path = tmp_path / "s.jsonl"
-    sink = JsonlSink(path, flush="line")
+    sink = JsonlSink(path)
     sink.emit({"type": "instant", "name": "phase", "track": "t",
                "time_s": 1.0, "args": {}})
     # No close yet — the record (and the injected meta header) must
@@ -83,20 +75,11 @@ def test_jsonl_sink_truncates_a_stale_file(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text('{"type": "event", "time_s": 0.0, "source": "stale", '
                     '"message": "old run"}\n')
-    sink = JsonlSink(path, flush="line")
+    sink = JsonlSink(path)
     sink.emit({"type": "event", "time_s": 1.0, "source": "a", "message": "new"})
     sink.close()
     records = FileTail(path).poll()
     assert [r.get("message") for r in records] == [None, "new"]
-
-
-def test_jsonl_sink_close_policy_buffers_until_close(tmp_path):
-    path = tmp_path / "s.jsonl"
-    sink = JsonlSink(path, flush="close")
-    sink.emit({"type": "event", "time_s": 0.5, "source": "x", "message": "m"})
-    sink.close()
-    records = FileTail(path).poll()
-    assert [r["type"] for r in records] == ["meta", "event"]
 
 
 def test_streamed_file_parses_identically_to_batch_export(tmp_path):
@@ -116,13 +99,98 @@ def test_streamed_file_parses_identically_to_batch_export(tmp_path):
 
 def test_jsonl_sink_survives_pickling_and_appends(tmp_path):
     path = tmp_path / "s.jsonl"
-    sink = JsonlSink(path, flush="line")
+    sink = JsonlSink(path)
     sink.emit({"type": "event", "time_s": 1.0, "source": "a", "message": "x"})
     restored = pickle.loads(pickle.dumps(sink))
     restored.emit({"type": "event", "time_s": 2.0, "source": "a", "message": "y"})
     restored.close()
     records = FileTail(path).poll()
     assert [r.get("message") for r in records] == [None, "x", "y"]
+
+
+def test_restored_jsonl_sink_cuts_what_was_written_after_its_pickle(tmp_path):
+    """A sink restored from a checkpoint truncates the file back to the
+    length it had written when pickled: what a crashed run wrote later
+    (a torn line included) is re-emitted by the resumed run."""
+    path = tmp_path / "s.jsonl"
+    sink = JsonlSink(path)
+    sink.emit({"type": "event", "time_s": 1.0, "source": "a", "message": "x"})
+    state = pickle.dumps(sink)
+    sink.emit({"type": "event", "time_s": 2.0, "source": "a", "message": "y"})
+    with open(path, "a") as fh:
+        fh.write('{"type": "event", "time_s": 3.0, "sou')  # the crash
+    restored = pickle.loads(state)
+    restored.emit({"type": "event", "time_s": 2.0, "source": "a", "message": "y"})
+    restored.close()
+    dump = read_jsonl(path)
+    assert [e["message"] for e in dump.events] == ["x", "y"]
+    assert (dump.corrupt_lines, dump.torn_lines) == (0, 0)
+
+
+def test_restored_jsonl_sink_refuses_a_shorter_stream(tmp_path):
+    from repro.errors import CheckpointError
+
+    path = tmp_path / "s.jsonl"
+    sink = JsonlSink(path)
+    sink.emit({"type": "event", "time_s": 1.0, "source": "a", "message": "x"})
+    restored = pickle.loads(pickle.dumps(sink))
+    path.write_text("")
+    with pytest.raises(CheckpointError, match="fewer than"):
+        restored.emit({"type": "event", "time_s": 2.0, "source": "a",
+                       "message": "y"})
+
+
+def test_resumed_stream_is_the_uncrashed_stream(tmp_path, capsys):
+    """Crash 0.3 s past a checkpoint and finish with ``repro resume``:
+    the stream the crashed run was writing ends as a complete export
+    whose instants, events and samples equal an uncrashed run's — none
+    of what the crashed run wrote past its checkpoint is left twice."""
+    from repro.checkpoint import CheckpointConfig, Checkpointer, SimulatedCrash
+    from repro.cli import main
+    from repro.service.session import SessionConfig
+
+    whole = tmp_path / "whole.jsonl"
+    assert main([
+        "migrate", "--workload", "derby", "--engine", "javmm",
+        "--mem-mb", "512", "--young-mb", "128", "--warmup-s", "2",
+        "--cooldown-s", "1", "--json", "--telemetry-out", str(whole),
+    ]) == 0
+    expected = json.loads(capsys.readouterr().out)
+
+    crashed = tmp_path / "crashed.jsonl"
+    ckpts = str(tmp_path / "ckpts")
+    spec = SessionConfig(workload="derby", engine="javmm", mem_mb=512,
+                         young_mb=128, warmup_s=2.0, cooldown_s=1.0)
+    driver = spec.build_driver(JsonlSink(crashed))
+    with pytest.raises(SimulatedCrash):
+        # checkpoints at every 0.5 s; tick 560 is t = 2.8 s
+        driver.run(Checkpointer(CheckpointConfig(
+            directory=ckpts, every_s=0.5, crash_at_tick=560, max_overhead=None,
+        )))
+    assert main(["resume", "--checkpoint-dir", ckpts, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["final_digest"] == expected["final_digest"]
+
+    want, got = read_jsonl(whole), read_jsonl(crashed)
+    assert got.instants == want.instants
+    assert got.events == want.events
+    assert got.samples == want.samples
+    assert got.spans and got.metrics
+    assert got.attributions == want.attributions == payload["attribution"]
+    post = LiveStatus.from_report(payload, name="m")
+    assert watch_file(crashed, name="m").to_dict() == post.to_dict()
+
+
+def test_resume_refuses_a_second_stream(tmp_path, capsys):
+    """A resumed run finalizes the stream its checkpoint carries; it
+    does not start a second, partial one."""
+    from repro.cli import main
+
+    other = tmp_path / "other.jsonl"
+    assert main(["resume", "--checkpoint-dir", str(tmp_path / "ckpts"),
+                 "--telemetry-out", str(other)]) == 2
+    assert "cannot start another" in capsys.readouterr().err
+    assert not other.exists()
 
 
 # -- file tails --------------------------------------------------------------------------
@@ -182,34 +250,6 @@ def test_file_tail_on_missing_file_returns_nothing(tmp_path):
     assert FileTail(tmp_path / "absent.jsonl").poll() == []
 
 
-# -- ring sink / tail --------------------------------------------------------------------
-
-
-def test_ring_tail_consumes_incrementally_without_rereading():
-    ring = RingSink(capacity=64)
-    tail = RingTail(ring)
-    ring.emit({"type": "event", "time_s": 1.0, "source": "a", "message": "x"})
-    first = tail.poll()
-    assert [r["type"] for r in first] == ["meta", "event"]
-    assert tail.poll() == []
-    ring.emit({"type": "event", "time_s": 2.0, "source": "a", "message": "y"})
-    assert len(tail.poll()) == 1
-    assert tail.missed == 0
-
-
-def test_ring_tail_counts_missed_records_on_overrun():
-    ring = RingSink(capacity=4)
-    tail = RingTail(ring)
-    for i in range(20):
-        ring.emit({"type": "event", "time_s": float(i), "source": "a",
-                   "message": str(i)})
-    got = tail.poll()
-    assert len(got) == 4
-    # 21 records total (meta + 20), 4 retained -> 17 evicted unseen.
-    assert tail.missed == 17
-    assert ring.dropped == 17
-
-
 # -- live status vs post-mortem ----------------------------------------------------------
 
 
@@ -223,7 +263,7 @@ def test_live_status_matches_post_mortem_bit_for_bit(tmp_path):
 
 def test_live_status_tracks_aborts_across_supervised_attempts(tmp_path):
     path = tmp_path / "run.jsonl"
-    sink = JsonlSink(path, flush="line")
+    sink = JsonlSink(path)
     plan = FaultPlan().kill_destination(at_s=2.0)
     result, vm = supervised_migrate(
         workload="derby", engine_name="javmm", plan=plan, seed=11,
@@ -386,6 +426,84 @@ def test_doctor_stream_gap_event_threshold():
     assert Doctor(stream_gap_events=5).diagnose(quiet).by_rule("stream-gap")
 
 
+# -- damaged streams: one decoder, counted losses ---------------------------------------
+
+
+def _damaged(tmp_path):
+    """A finished stream with one corrupt middle line (cut short, with
+    a byte that is not UTF-8) and a torn tail."""
+    path, result = _streamed_migration(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines[middle] = lines[middle][: len(lines[middle]) // 2] + b"\xff\n"
+    lines.append(b'{"type": "event", "time_s": 99.0, "sou')
+    path.write_bytes(b"".join(lines))
+    return path, result
+
+
+def test_read_jsonl_counts_corrupt_and_torn_lines_with_one_warning(tmp_path):
+    from repro.telemetry.analysis import Doctor
+
+    path, _ = _damaged(tmp_path)
+    with pytest.warns(UserWarning) as caught:
+        dump = read_jsonl(path)
+    assert len(caught) == 1
+    assert "1 corrupt telemetry line(s) and 1 torn" in str(caught[0].message)
+    assert (dump.corrupt_lines, dump.torn_lines) == (1, 1)
+    assert dump.spans and dump.attributions
+    [finding] = [
+        f for f in Doctor().diagnose(dump).by_rule("stream-gap")
+        if "line" in f.title
+    ]
+    assert finding.severity == "warning"
+    assert "1 corrupt" in finding.detail and "1 torn" in finding.detail
+
+
+def test_decoder_counts_over_deep_nesting_as_corrupt():
+    from repro.telemetry.export import decode_stream
+
+    data = b'{"type": "meta"}\n' + b"[" * 60000 + b"\n" + b"[1]\n\n{}\n"
+    records, consumed, corrupt = decode_stream(data + b'{"type"')
+    assert records == [{"type": "meta"}]
+    assert consumed == len(data)
+    assert corrupt == 3
+
+
+@pytest.mark.filterwarnings("ignore:skipped 1 corrupt")
+def test_every_reader_takes_a_damaged_stream(tmp_path, capsys):
+    """doctor, attribute, compare and archive ingest read a stream with
+    a corrupt middle line and a torn tail without a traceback; watch
+    reports the corrupt line it skipped."""
+    from repro.cli import main
+
+    path, _ = _damaged(tmp_path)
+    assert main(["doctor", str(path)]) == 0
+    assert "stream-gap" in capsys.readouterr().out
+    assert main(["attribute", str(path), "--audit"]) == 0
+    assert main(["compare", str(path), str(path)]) == 0
+    db = str(tmp_path / "archive.db")
+    assert main(["archive", "ingest", str(path), "--db", db]) == 0
+    capsys.readouterr()
+    assert main(["watch", str(path), "--json"]) == 0
+    board = json.loads(capsys.readouterr().out)
+    assert board["stream_missed"] == {"run": 1}
+    assert main(["watch", str(path)]) == 0
+    assert "skipped 1 corrupt line(s)" in capsys.readouterr().out
+
+
+def test_a_file_that_is_no_stream_is_refused(tmp_path, capsys):
+    from repro.cli import main
+    from repro.errors import TelemetryFormatError
+
+    path = tmp_path / "notes.txt"
+    path.write_text("these are not\ntelemetry records\n")
+    with pytest.raises(TelemetryFormatError, match="notes.txt"):
+        read_jsonl(path)
+    for command in (["doctor"], ["attribute"], ["archive", "ingest"]):
+        assert main([*command, str(path), "--db", str(tmp_path / "a.db")]) == 2
+        assert "notes.txt: not a telemetry stream" in capsys.readouterr().err
+
+
 # -- the watch CLI -----------------------------------------------------------------------
 
 
@@ -397,7 +515,7 @@ def test_watch_cli_board_matches_post_mortem_report(tmp_path, capsys):
     code = main([
         "migrate", "--workload", "crypto", "--engine", "javmm",
         "--mem-mb", "512", "--young-mb", "128", "--json",
-        "--telemetry-out", str(stream), "--telemetry-flush", "line",
+        "--telemetry-out", str(stream),
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -413,6 +531,23 @@ def test_watch_cli_board_matches_post_mortem_report(tmp_path, capsys):
     post = LiveStatus.from_report(payload, name="run")
     assert board["migrations"][0] == post.to_dict()
     assert prom.read_text().startswith("# TYPE repro_migrations gauge")
+
+
+def test_migrate_telemetry_out_is_a_complete_export(tmp_path, capsys):
+    from repro.cli import main
+
+    stream = tmp_path / "run.jsonl"
+    assert main([
+        "migrate", "--workload", "derby", "--engine", "javmm",
+        "--mem-mb", "512", "--young-mb", "128", "--warmup-s", "2",
+        "--cooldown-s", "1", "--json", "--telemetry-out", str(stream),
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    dump = read_jsonl(stream)
+    assert dump.spans and dump.metrics and dump.instants and dump.samples
+    assert dump.attributions == payload["attribution"]
+    post = LiveStatus.from_report(payload, name="run")
+    assert watch_file(stream).to_dict() == post.to_dict()
 
 
 def test_watch_cli_needs_an_input(capsys):

@@ -61,7 +61,7 @@ def _dotnet(kernel, lkm):
 def _cache(kernel, lkm):
     return CacheApp(
         kernel, lkm, cache_bytes=MiB(64), hot_fraction=0.25,
-        write_bytes_per_s=MiB(20), rng=np.random.default_rng(11),
+        write_bytes_per_s=MiB(20),
     )
 
 

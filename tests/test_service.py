@@ -176,6 +176,72 @@ def test_board_covers_every_session(tmp_path):
     assert all(status.finished for status in board.statuses())
 
 
+def test_session_streams_are_complete_exports(tmp_path, capsys):
+    """A session that ends done or aborted leaves a finalized stream:
+    spans, metrics and its payload's attribution ledgers are appended,
+    so ``repro attribute`` and ``repro doctor`` read it."""
+    from repro.cli import main
+    from repro.telemetry.export import read_jsonl
+    from repro.telemetry.live import LiveStatus, watch_file
+
+    manager = MigrationManager(root_dir=str(tmp_path), max_active=2)
+    done = manager.submit(small_config())
+    aborted = manager.submit(small_config(seed=8))
+    session = manager.session(aborted)
+    while session.driver is None or session.driver.phase != "migrate":
+        manager.step_round()
+    manager.abort(aborted)
+    manager.drain()
+    payload = manager.finalize(done)
+
+    def stream(sid):
+        return tmp_path / "sessions" / sid / "telemetry.jsonl"
+
+    dump = read_jsonl(stream(done))
+    assert dump.spans and dump.metrics
+    assert dump.attributions == payload["attribution"]
+    post = LiveStatus.from_report(payload, name=done)
+    assert watch_file(stream(done), name=done).to_dict() == post.to_dict()
+    assert main(["attribute", str(stream(done)), "--audit"]) == 0
+    assert main(["doctor", str(stream(done))]) == 0
+    assert read_jsonl(stream(aborted)).spans
+    assert watch_file(stream(aborted)).phase == "aborted"
+
+    # a damaged stream: ``ctl watch`` counts what ``repro watch`` counts
+    path = stream(done)
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(len(lines) // 2, "{not json\n")
+    path.write_text("".join(lines) + '{"type": "ev')
+    capsys.readouterr()
+    assert main(["watch", str(path), "--json"]) == 0
+    board = json.loads(capsys.readouterr().out)
+    assert board["stream_missed"] == {"telemetry": 1}
+    assert manager.board().to_dict()["stream_missed"] == {done: 1}
+    assert f'repro_migration_stream_missed_total{{run="{done}"}} 1' in (
+        manager.board().to_prom_text()
+    )
+
+
+def test_recovered_session_refuses_a_lost_stream(tmp_path):
+    """A session resumed from a checkpoint finds its stream shorter than
+    the checkpoint recorded: the session fails on its own, with the
+    refusal as its error, and the manager drains on."""
+    cadence = dict(checkpoint_every_s=0.5, checkpoint_overhead=None)
+    manager = MigrationManager(root_dir=str(tmp_path), max_active=1, **cadence)
+    sid = manager.submit(small_config())
+    session = manager.session(sid)
+    # past the t = 0 checkpoint, which holds a sink that wrote nothing
+    while session.driver is None or session.driver.engine.now < 1.5:
+        manager.step_round()
+    (tmp_path / "sessions" / sid / "telemetry.jsonl").write_text("")
+    restarted = MigrationManager(root_dir=str(tmp_path), max_active=1, **cadence)
+    assert restarted.recover() == [sid]
+    restarted.drain()
+    session = restarted.session(sid)
+    assert session.state == "failed"
+    assert "telemetry stream" in session.error and "fewer than" in session.error
+
+
 def test_memoryless_manager_runs_without_a_root():
     manager = MigrationManager(root_dir=None, max_active=2)
     sid = manager.submit(small_config())
@@ -322,32 +388,130 @@ BAD_REQUESTS = [
     # a handler failure outside validation: the session directory name
     # is longer than the filesystem allows
     ({"op": "submit", "config": {"name": "n" * 300}}, "OSError"),
+    # under the stream limit, but nested past the parser's recursion
+    # limit; json.dumps cannot build it, so it goes over as raw bytes
+    (b"[" * 60000 + b"\n", "bad request"),
 ]
+
+
+def _connect(root: str):
+    """A raw control-socket connection and its buffered line stream."""
+    import socket
+
+    from repro.service import protocol
+
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30)
+    sock.connect(protocol.read_addr(root))
+    return sock, sock.makefile("rwb")
+
+
+def _ask(stream, request) -> dict:
+    """Send one request (a dict, or a raw line as bytes); read the answer."""
+    from repro.service import protocol
+
+    if isinstance(request, dict):
+        request = protocol.encode(request)
+    stream.write(request)
+    stream.flush()
+    return protocol.decode(stream.readline())
 
 
 def test_ctl_refuses_bad_requests_and_keeps_the_connection(daemon):
     """A malformed request or an invalid spec gets a typed refusal at
     submit; the connection survives it and still answers ``ping``."""
-    import socket
+    root, client = daemon
+    sock, stream = _connect(root)
+    with sock:
+        for request, why in BAD_REQUESTS:
+            response = _ask(stream, request)
+            assert response["ok"] is False, request
+            assert why in response["error"], (request, response)
+            assert _ask(stream, {"op": "ping"})["ok"] is True
+    assert client.request("list")["sessions"] == []
+
+
+def _fuzz_lines():
+    """Request lines no well-behaved client sends.  Never a valid
+    ``submit`` (it would start a simulation) nor ``shutdown``."""
+    from hypothesis import strategies as st
 
     from repro.service import protocol
 
+    def line(data: bytes) -> bytes:
+        return data.replace(b"\n", b" ") + b"\n"
+
+    scalars = (
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False) | st.text(max_size=8)
+    )
+    not_a_string = scalars.filter(lambda v: not isinstance(v, str)) | st.lists(
+        st.integers(), max_size=3
+    )
+    # a list or an object is the wrong type for every config field
+    wrong_field = st.lists(st.integers(), max_size=2) | st.dictionaries(
+        st.text(max_size=4), st.integers(), max_size=2
+    )
+    verbs = st.sampled_from(
+        [v for v in protocol.VERBS if v not in ("submit", "shutdown")]
+    )
+    requests = st.one_of(
+        st.builds(lambda op: {"op": op}, not_a_string),
+        st.builds(
+            lambda op: {"op": op},
+            st.text(max_size=12).filter(lambda op: op not in protocol.VERBS),
+        ),
+        st.builds(lambda op, sid: {"op": op, "id": sid}, verbs, not_a_string),
+        st.builds(lambda op, sid: {"op": op, "id": sid}, verbs, st.text(max_size=8)),
+        st.builds(
+            lambda name, value: {"op": "submit", "config": {name: value}},
+            st.sampled_from(sorted(SessionConfig.__dataclass_fields__)),
+            wrong_field,
+        ),
+        st.builds(lambda config: {"op": "submit", "config": config}, not_a_string),
+        st.builds(
+            lambda reason: {"op": "abort", "id": "s0001-x", "reason": reason},
+            not_a_string,
+        ),
+    )
+
+    def truncated(request: dict, frac: float) -> bytes:
+        body = protocol.encode(request)[:-1]
+        return body[: max(1, int((len(body) - 1) * frac))] + b"\n"
+
+    return st.one_of(
+        st.binary(max_size=64).map(line),
+        requests.map(protocol.encode),
+        st.builds(truncated, requests, st.floats(0.0, 1.0)),
+        st.integers(500, 30000).map(lambda n: b"[" * n + b"]" * n + b"\n"),
+        st.integers(500, 12000).map(lambda n: b'{"a":' * n + b"\n"),
+        st.one_of(scalars, st.lists(scalars, max_size=4)).map(
+            lambda v: json.dumps(v).encode() + b"\n"
+        ),
+    )
+
+
+def test_ctl_answers_fuzzed_requests_and_keeps_the_connection(daemon):
+    """Whatever line arrives, the daemon answers it with a well-formed
+    response (a refusal, or a read-only verb's answer), and the same
+    connection still answers ``ping``."""
+    from hypothesis import HealthCheck, given, settings
+
     root, client = daemon
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(30)
-        sock.connect(protocol.read_addr(root))
-        stream = sock.makefile("rwb")
+    sock, stream = _connect(root)
+    with sock:
 
-        def ask(request: dict) -> dict:
-            stream.write(protocol.encode(request))
-            stream.flush()
-            return protocol.decode(stream.readline())
+        @settings(max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(line=_fuzz_lines())
+        def answers(line):
+            response = _ask(stream, line)
+            assert isinstance(response["ok"], bool), (line, response)
+            if not response["ok"]:
+                assert isinstance(response["error"], str), (line, response)
+            assert _ask(stream, {"op": "ping"})["ok"] is True
 
-        for request, why in BAD_REQUESTS:
-            response = ask(request)
-            assert response["ok"] is False, request
-            assert why in response["error"], (request, response)
-            assert ask({"op": "ping"})["ok"] is True
+        answers()
     assert client.request("list")["sessions"] == []
 
 
