@@ -20,8 +20,11 @@ checkpointer therefore meters itself against
 :attr:`CheckpointConfig.max_overhead` — a due write is deferred when
 admitting it would push the cumulative wall cost of checkpointing past
 that fraction of elapsed wall time (``checkpoint.deferred`` counts
-these).  Deferral only ages the newest archive; ``max_overhead=None``
-restores the exact cadence when tests need pinned restore points.
+these).  The meter is a :class:`WallMeter`: each checkpointer owns one,
+and a migration manager shares one among all its sessions, so the
+budget holds for the whole daemon.  Deferral only ages the newest
+archive; ``max_overhead=None`` restores the exact cadence when tests
+need pinned restore points.
 
 Checkpoint writes happen *between* engine advances, never inside a
 step, and touch no simulated state — so a run with checkpointing is
@@ -36,6 +39,7 @@ surface: ``.engine`` (required), ``.probe`` and
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +83,33 @@ class CheckpointConfig:
     max_overhead: float | None = 0.03
 
 
+class WallMeter:
+    """The wall clock the overhead throttle meters writes against: the
+    seconds spent writing, the last write's cost, and the instant
+    metering started.  Every checkpointer charging one meter shares one
+    budget."""
+
+    def __init__(self) -> None:
+        self.spent_s = 0.0
+        self.last_cost_s = 0.0
+        self.start: float | None = None
+
+    def begin(self) -> None:
+        if self.start is None:
+            self.start = time.perf_counter()
+
+    def charge(self, cost_s: float) -> None:
+        self.spent_s += cost_s
+        self.last_cost_s = cost_s
+
+    def admits(self, max_overhead: float) -> bool:
+        """Does one more write, as costly as the last, fit within
+        *max_overhead* of the wall time elapsed since :meth:`begin`?"""
+        self.begin()
+        elapsed = time.perf_counter() - self.start
+        return self.spent_s + self.last_cost_s <= max_overhead * max(elapsed, 1e-9)
+
+
 class Checkpointer:
     """Writes cadence checkpoints for a resumable driver.
 
@@ -96,29 +127,28 @@ class Checkpointer:
         self.written = 0
         #: cadence instants skipped by the overhead throttle
         self.deferred = 0
-        self._wall_spent = 0.0
-        self._wall_start: float | None = None
-        self._last_cost_s = 0.0
+        #: the throttle's meter; a manager swaps in the one its sessions share
+        self.meter = WallMeter()
 
     @property
     def wall_spent_s(self) -> float:
-        """Cumulative wall-clock seconds spent writing checkpoints.
+        """Cumulative wall-clock seconds spent writing checkpoints, by
+        every checkpointer on this one's meter.
 
         The numerator of the overhead fraction the throttle meters (and
         the quantity ``bench_pr6_checkpoint.py`` gates against run wall
         time)."""
-        return self._wall_spent
+        return self.meter.spent_s
 
     def arm(self, controller) -> None:
         """Write the baseline checkpoint and start the cadence clock.
 
         Called once the run reaches a resumable point (guest built,
         warm-up scheduled); guarantees a resume source exists before
-        any crash window opens.
+        any crash window opens.  A shared meter keeps the start of its
+        first checkpointer's arm.
         """
-        import time
-
-        self._wall_start = time.perf_counter()
+        self.meter.begin()
         self.write(controller)
         self._next_due = controller.engine.now + self.config.every_s
 
@@ -126,21 +156,15 @@ class Checkpointer:
         """May the next cadence write go ahead, or is it deferred?
 
         Admission test against :attr:`CheckpointConfig.max_overhead`:
-        the wall time already spent writing, plus the expected cost of
-        one more write, must fit within the budget fraction of the wall
-        time elapsed since :meth:`arm`.  The baseline write is always
-        admitted (``arm`` calls :meth:`write` directly), so deferral
-        only ever ages the newest archive, never removes it.
+        the wall time already spent writing on this checkpointer's
+        meter, plus the expected cost of one more write, must fit within
+        the budget fraction of the wall time the meter has run.  The
+        baseline write is always admitted (``arm`` calls :meth:`write`
+        directly), so deferral only ever ages the newest archive, never
+        removes it.
         """
-        import time
-
         frac = self.config.max_overhead
-        if frac is None:
-            return True
-        if self._wall_start is None:
-            self._wall_start = time.perf_counter()
-        elapsed = time.perf_counter() - self._wall_start
-        return self._wall_spent + self._last_cost_s <= frac * max(elapsed, 1e-9)
+        return frac is None or self.meter.admits(frac)
 
     def bound(self, target: float) -> float:
         """Cap an advance bound at the next checkpoint/crash instant."""
@@ -172,8 +196,6 @@ class Checkpointer:
 
     def write(self, controller) -> CheckpointArchive:
         """Write one checkpoint of *controller* now, then prune."""
-        import time
-
         engine = controller.engine
         probe = getattr(controller, "probe", None) or NULL_PROBE
         arrays = {}
@@ -193,8 +215,7 @@ class Checkpointer:
             extra=extra,
         )
         wall_ms = (time.perf_counter() - t0) * 1e3
-        self._wall_spent += wall_ms / 1e3
-        self._last_cost_s = wall_ms / 1e3
+        self.meter.charge(wall_ms / 1e3)
         prune_checkpoints(self.directory, self.config.keep)
         # Zero-duration sim-time span (the write is instantaneous in
         # simulated time); the wall cost rides as an arg.

@@ -783,7 +783,10 @@ def _run_ctl(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Intermixed, so an option may sit between the command and its FILEs
+    # (`attribute --audit run.jsonl`): plain parse_args would consume the
+    # nargs="*" positional empty before the option.
+    args = build_parser().parse_intermixed_args(argv)
     if args.kernel:
         # Every engine is built through make_engine(), which reads this.
         os.environ[KERNEL_ENV_VAR] = args.kernel

@@ -222,12 +222,6 @@ class FaultPlan:
             FaultEvent(FaultKind.AGENT_HANG, at_s, at_iteration, duration_s)
         )
 
-    def agent_crash(
-        self, at_s: float | None = None, at_iteration: int | None = None
-    ) -> "FaultPlan":
-        """Kill the TI agent outright (no recovery)."""
-        return self.add(FaultEvent(FaultKind.AGENT_CRASH, at_s, at_iteration))
-
     def lkm_hang(
         self,
         at_s: float | None = None,

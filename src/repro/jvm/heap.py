@@ -137,10 +137,6 @@ class GenerationalHeap:
     def needs_gc(self) -> bool:
         return self.eden_used >= self.eden_capacity
 
-    @property
-    def young_used(self) -> int:
-        return self.eden_used + self.from_used
-
     def young_committed_range(self) -> VARange:
         """The committed Young VA range — JAVMM's skip-over area."""
         return self.layout.committed_range

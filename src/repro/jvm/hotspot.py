@@ -133,10 +133,6 @@ class HotSpotJVM(Actor):
         if self.phase is JvmPhase.HELD:
             self.phase = JvmPhase.RUNNING
 
-    @property
-    def threads_running(self) -> bool:
-        return self.phase in (JvmPhase.RUNNING, JvmPhase.TTS)
-
     # -- actor ---------------------------------------------------------------------------
 
     def step(self, now: float, dt: float) -> None:

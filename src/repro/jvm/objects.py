@@ -165,9 +165,6 @@ class ObjectHeap:
 
     # -- introspection (test oracles) ------------------------------------------------------
 
-    def live_young_objects(self) -> list[JavaObject]:
-        return list(self.eden_objects) + list(self.from_objects)
-
     def occupied_from_range(self) -> VARange:
         return VARange(self.layout.from_space.start, self._from_top)
 

@@ -67,8 +67,3 @@ class BallooningPrecopyMigrator(PrecopyMigrator):
         for jvm, target in zip(self.jvms, self._saved_targets):
             jvm.heap.young_target_bytes = target
         self._ballooning = False
-
-    @property
-    def ballooned_young_bytes(self) -> int:
-        """Committed Young memory across all heaps right now."""
-        return sum(jvm.heap.young_committed for jvm in self.jvms)

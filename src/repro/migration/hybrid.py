@@ -157,8 +157,3 @@ class JavmmCompressedMigrator(JavmmMigrator):
         super()._pump(now)
         self._compress_budget -= (self._iter_sent - sent_before) * PAGE_SIZE
         self._budget += stash
-
-    @property
-    def hint_overhead_bytes(self) -> int:
-        """Extra guest memory for the widened (2-bit) transfer bitmap."""
-        return self.hints.nbytes_packed

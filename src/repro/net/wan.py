@@ -223,10 +223,6 @@ class WanDriver(Actor):
         """Fix the weather schedule's t=0 (see FaultInjector.arm)."""
         self._armed_at = now
 
-    @property
-    def in_burst(self) -> bool:
-        return self._burst
-
     # -- actor -------------------------------------------------------------------------
 
     def next_event(self, now: float) -> float | None:

@@ -9,12 +9,16 @@ which is exactly what keeps each session's tick sequence identical to
 a standalone run (slicing only tightens engine-advance bounds; the
 PR 6 invariant).
 
-Two drive styles over the same rounds:
+Every drive style runs the same rounds (:meth:`_round`):
+:meth:`drain` runs them until every session is terminal (benchmarks,
+tests and the equivalence oracle), :meth:`step_round` runs one, and the
+daemon's loop takes them one slice at a time, answering control verbs
+between slices.
 
-- :meth:`drain` — synchronous, run rounds until every session is
-  terminal (benchmarks, tests, and the equivalence oracle use this);
-- :meth:`run_forever` — the asyncio form the daemon uses, yielding to
-  the event loop between rounds so control verbs land promptly.
+One checkpoint budget covers the whole manager: every session's
+checkpointer charges and admits against the manager's one
+:class:`~repro.checkpoint.runner.WallMeter`, so ``checkpoint_overhead``
+bounds the wall share of all sessions' writes together.
 
 Restart story: :meth:`recover` rebuilds every session from its
 directory — terminal ones get their durable ``result.json`` back,
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import os
 
+from repro.checkpoint.runner import WallMeter
 from repro.service.session import (
     ACTIVE_STATES,
     QUEUED,
@@ -58,6 +63,8 @@ class MigrationManager:
         self.slice_s = slice_s
         self.checkpoint_every_s = checkpoint_every_s
         self.checkpoint_overhead = checkpoint_overhead
+        #: the one checkpoint budget meter every session's writes charge
+        self.checkpoint_meter = WallMeter()
         self.sessions: dict[str, MigrationSession] = {}
         self._counter = 0
         if root_dir is not None:
@@ -91,6 +98,7 @@ class MigrationManager:
             checkpoint_every_s=self.checkpoint_every_s,
             checkpoint_overhead=self.checkpoint_overhead,
         )
+        session.checkpoint_meter = self.checkpoint_meter
         self.sessions[session_id] = session
         return session_id
 
@@ -112,6 +120,7 @@ class MigrationManager:
                 checkpoint_every_s=self.checkpoint_every_s,
                 checkpoint_overhead=self.checkpoint_overhead,
             )
+            session.checkpoint_meter = self.checkpoint_meter
             self.sessions[session.id] = session
             if session._admin.state in ACTIVE_STATES:
                 session.recover()
@@ -173,24 +182,6 @@ class MigrationManager:
         sessions are left paused — they park, they do not block."""
         while self._run_round() or self.queued:
             pass
-
-    async def run_forever(self, idle_sleep_s: float = 0.05, stop=None) -> None:
-        """The daemon's scheduler loop: rounds with an event-loop yield
-        after every slice (so socket verbs interleave), idling when
-        nothing is runnable.  *stop* is an ``asyncio.Event`` that ends
-        the loop, checked between sessions.
-        """
-        import asyncio
-
-        while stop is None or not stop.is_set():
-            ran = False
-            for _ in self._round():
-                ran = True
-                await asyncio.sleep(0)
-                if stop is not None and stop.is_set():
-                    return
-            if not ran:
-                await asyncio.sleep(idle_sleep_s)
 
     # -- verbs (the in-process API the socket protocol mirrors) -------------------------
 

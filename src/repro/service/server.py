@@ -1,19 +1,20 @@
 """The migration-manager daemon: a manager plus a control socket.
 
 ``repro serve`` builds a :class:`ServiceDaemon` and blocks in
-:meth:`ServiceDaemon.serve`.  Inside, one asyncio loop runs two
-cooperating halves:
+:meth:`ServiceDaemon.serve`: one thread, one explicit :mod:`selectors`
+loop.  It runs the manager's scheduling rounds one session slice at a
+time, and after every slice polls the Unix control socket with no wait
+until nothing on it is ready: it accepts connections, reads into
+per-connection buffers, answers each complete JSON-lines request
+(:mod:`repro.service.protocol`) and writes the answers non-blocking.
+With no session runnable it blocks in ``select`` for up to 50 ms.
 
-- the manager's scheduler (:meth:`MigrationManager.run_forever`),
-  advancing every RUNNING session one simulated slice per round;
-- a Unix-socket server speaking the JSON-lines protocol
-  (:mod:`repro.service.protocol`), dispatching control verbs between
-  slices.
-
-Both halves run on the *same* thread, so a verb never observes a
-session mid-advance — pause/abort/stop-and-copy land exactly at slice
+So a verb whose line has arrived is answered before the next slice
+starts, on the simulation's thread: it never observes a session
+mid-advance, and pause/abort/stop-and-copy land exactly at slice
 boundaries, the only instants at which the bit-identity invariant is
-defined.
+defined.  A client that stalls mid-line, or never reads its answers,
+holds only its own buffers.
 
 Killing the daemon (SIGKILL included) loses nothing that matters: the
 admin records, checkpoints and results are all durable, and a new
@@ -23,13 +24,21 @@ daemon over the same root directory resumes every in-flight session
 
 from __future__ import annotations
 
-import asyncio
 import os
+import selectors
+import socket
+from types import SimpleNamespace
 
 from repro.errors import ConfigurationError
 from repro.service import protocol
 from repro.service.manager import MigrationManager
 from repro.service.session import SessionError
+
+#: the longest request line; a longer one is refused and the connection
+#: survives.  Unsent answers past it also stop reading the connection.
+LINE_LIMIT = 1 << 16
+#: how long the loop blocks in ``select`` when no session can run
+IDLE_S = 0.05
 
 
 class ServiceDaemon:
@@ -42,7 +51,8 @@ class ServiceDaemon:
         self.socket_path = socket_path or protocol.default_socket_path(
             manager.root_dir
         )
-        self._stop = asyncio.Event()
+        self._stopping = False
+        self._selector = None
 
     # -- verb dispatch ------------------------------------------------------------------
 
@@ -50,7 +60,7 @@ class ServiceDaemon:
         """Execute one control request against the manager.
 
         Synchronous on purpose: it runs between scheduler slices on the
-        event-loop thread, so every verb sees a quiescent simulation.
+        simulation's thread, so every verb sees a quiescent simulation.
         """
         op = request.get("op")
         if op not in protocol.VERBS:
@@ -81,7 +91,7 @@ class ServiceDaemon:
                     prom=board.to_prom_text(),
                 )
             if op == "shutdown":
-                self._stop.set()
+                self._stopping = True
                 return protocol.ok(stopping=True)
             if not session_id:
                 return protocol.error(f"op {op!r} needs a session id")
@@ -107,72 +117,96 @@ class ServiceDaemon:
 
     # -- the loop -----------------------------------------------------------------------
 
-    @staticmethod
-    async def _readline(reader) -> bytes | None:
-        """The next request line (b"" at end of stream), or None for a
-        line over the stream limit, discarded through its newline."""
-        try:
-            return await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            return exc.partial  # the last, unterminated line
-        except asyncio.LimitOverrunError as exc:
-            consumed = exc.consumed
-        while True:
-            try:
-                await reader.readexactly(consumed)
-                await reader.readuntil(b"\n")
-                return None
-            except asyncio.LimitOverrunError as exc:
-                consumed = exc.consumed
-            except asyncio.IncompleteReadError:
-                return b""  # the stream ended inside the over-long line
+    def _poll(self, timeout: float) -> None:
+        """Serve the socket until nothing is ready, waiting *timeout* at first."""
+        while ready := not self._stopping and self._selector.select(timeout):
+            timeout = 0
+            for key, mask in ready:
+                if key.data is None:  # the listener
+                    try:
+                        sock, _ = key.fileobj.accept()
+                    except OSError:  # the client gave up already
+                        continue
+                    sock.setblocking(False)
+                    self._selector.register(sock, selectors.EVENT_READ, SimpleNamespace(
+                        inbuf=bytearray(), outbuf=bytearray(), eof=False))
+                    continue
+                if mask & selectors.EVENT_READ:
+                    conn = key.data
+                    try:
+                        data = key.fileobj.recv(LINE_LIMIT)
+                    except BlockingIOError:
+                        continue
+                    except OSError:  # reset by the client: its end
+                        data = b""
+                    conn.eof = not data
+                    conn.inbuf += data
+                    if len(conn.inbuf) > LINE_LIMIT and b"\n" not in conn.inbuf:
+                        del conn.inbuf[LINE_LIMIT + 1:]  # over-long: keep its head
+                self._pump(key)
 
-    async def _client(self, reader, writer) -> None:
-        try:
-            while not self._stop.is_set():
-                line = await self._readline(reader)
-                if line == b"":
-                    break
-                try:
-                    if line is None:
-                        raise ValueError("line longer than the stream limit")
-                    request = protocol.decode(line)
-                except ValueError as exc:
-                    response = protocol.error(f"bad request: {exc}")
-                else:
-                    response = self.handle(request)
-                writer.write(protocol.encode(response))
-                await writer.drain()
-        finally:
-            writer.close()
-
-    async def _serve(self) -> None:
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)  # stale socket from a dead daemon
-        server = await asyncio.start_unix_server(
-            self._client, path=self.socket_path
-        )
-        protocol.write_addr(self.manager.root_dir, self.socket_path)
-        scheduler = asyncio.ensure_future(
-            self.manager.run_forever(stop=self._stop)
-        )
-        try:
-            await self._stop.wait()
-        finally:
-            scheduler.cancel()
-            server.close()
-            await server.wait_closed()
+    def _pump(self, key: selectors.SelectorKey) -> None:
+        """Answer a connection's complete lines (at its end, the last one too)
+        while its unsent answers fit the line limit; send; re-arm or close."""
+        conn, sock = key.data, key.fileobj
+        while len(conn.outbuf) < LINE_LIMIT and not self._stopping:
+            end = conn.inbuf.find(b"\n") + 1 or (len(conn.inbuf) if conn.eof else 0)
+            if not end:
+                break
+            line = bytes(conn.inbuf[:end])
+            del conn.inbuf[:end]
             try:
-                await scheduler
-            except asyncio.CancelledError:
+                if len(line) > LINE_LIMIT + line.endswith(b"\n"):
+                    raise ValueError("line longer than the stream limit")
+                request = protocol.decode(line)
+            except ValueError as exc:
+                response = protocol.error(f"bad request: {exc}")
+            else:
+                response = self.handle(request)
+            conn.outbuf += protocol.encode(response)
+        if conn.outbuf:
+            try:
+                del conn.outbuf[: sock.send(conn.outbuf)]
+            except BlockingIOError:
                 pass
-            if os.path.exists(self.socket_path):
-                os.unlink(self.socket_path)
+            except OSError:  # the client hung up: nobody to answer
+                conn.eof, conn.outbuf = True, bytearray()
+        reading = not conn.eof and len(conn.outbuf) < LINE_LIMIT
+        events = (selectors.EVENT_READ if reading else 0) | (
+            selectors.EVENT_WRITE if conn.outbuf else 0)
+        if not events:
+            self._selector.unregister(sock)
+            sock.close()
+        elif events != key.events:
+            self._selector.modify(sock, events, conn)
 
     def serve(self) -> None:
-        """Recover any prior sessions, then block serving the socket."""
+        """Recover any prior sessions, then slice and serve until shutdown."""
         self.manager.recover()
-        asyncio.run(self._serve())
+        if os.path.exists(self.socket_path):
+            os.unlink(self.socket_path)  # stale socket from a dead daemon
+        self._selector = selectors.DefaultSelector()
+        with socket.create_server(
+            self.socket_path, family=socket.AF_UNIX, backlog=100
+        ) as listener:
+            listener.setblocking(False)
+            self._selector.register(listener, selectors.EVENT_READ)
+            protocol.write_addr(self.manager.root_dir, self.socket_path)
+            try:
+                while not self._stopping:
+                    ran = False
+                    for _ in self.manager._round():
+                        ran = True
+                        self._poll(0)
+                        if self._stopping:
+                            break
+                    if not ran:
+                        self._poll(IDLE_S)
+            finally:  # answers already sent stay readable after the close
+                for key in list(self._selector.get_map().values()):
+                    key.fileobj.close()
+                self._selector.close()
+                os.unlink(self.socket_path)
 
 
 def serve(

@@ -381,6 +381,9 @@ class MigrationSession:
         self._admin = _Admin(id=session_id)
         self.driver = None
         self.checkpointer = None
+        #: the checkpoint :class:`~repro.checkpoint.runner.WallMeter` the
+        #: owning manager shares among its sessions (None: one's own)
+        self.checkpoint_meter = None
         self.result_payload: dict | None = None
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -463,9 +466,12 @@ class MigrationSession:
     def _make_checkpointer(self):
         if self.checkpoint_every_s is None or self.directory is None:
             return None
-        return self.config.checkpointer(
+        checkpointer = self.config.checkpointer(
             self._path("ckpts"), self.checkpoint_every_s, self.checkpoint_overhead
         )
+        if self.checkpoint_meter is not None:
+            checkpointer.meter = self.checkpoint_meter
+        return checkpointer
 
     def start(self) -> None:
         """Admit the session: configure the simulation, go RUNNING."""

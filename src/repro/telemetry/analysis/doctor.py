@@ -38,6 +38,10 @@ Rule catalogue (see ``docs/OBSERVABILITY.md`` for the full table):
   that did not decode (corrupt or torn), or heavy event-log eviction —
   any of which makes the live board's ETAs start from an incomplete
   record set;
+- ``unfinalized`` — the stream carries live records but no
+  ``migration`` span: its writer crashed or is still running, so the
+  spans, metrics and ledgers every other rule reads are missing and a
+  quiet report proves nothing;
 - ``resumed-run`` — the run was restored from a durable checkpoint
   (``checkpoint-restore`` span present); flags the gap between the
   checkpoint instant and the crashed run's last journaled decision;
@@ -666,6 +670,37 @@ def rule_stream_gap(dump: TelemetryDump, thresholds: dict) -> list[Finding]:
     return findings
 
 
+def rule_unfinalized(dump: TelemetryDump, thresholds: dict) -> list[Finding]:
+    """Warn when the stream was never finalized.
+
+    A run streams its instants, events and samples as it goes and
+    appends its spans, metrics and attribution ledgers only when it
+    ends.  Live records without a ``migration`` span therefore mean a
+    writer that crashed (``repro resume`` finalizes its stream) or is
+    still running; silence from the other rules is then no verdict.
+    """
+    live = len(dump.instants) + len(dump.events) + len(dump.samples)
+    if not live or any(s["name"] == "migration" for s in dump.spans):
+        return []
+    return [
+        Finding(
+            rule="unfinalized",
+            severity="warning",
+            title=(
+                "stream is unfinalized: no migration span — its writer "
+                "crashed or is still running"
+            ),
+            detail=(
+                f"{live} live record(s), {len(dump.spans)} span(s), "
+                f"{len(dump.metrics)} metric(s), {len(dump.attributions)} "
+                "ledger(s): the rules that read spans, metrics and ledgers "
+                "had nothing to read"
+            ),
+            evidence=("record-kind:span", "record-kind:metric"),
+        )
+    ]
+
+
 def rule_resumed_run(dump: TelemetryDump, thresholds: dict) -> list[Finding]:
     """Detect a crash-restarted run and size its re-execution window.
 
@@ -821,6 +856,7 @@ DEFAULT_RULES = (
     rule_slow_downtime,
     rule_event_loss,
     rule_stream_gap,
+    rule_unfinalized,
     rule_resumed_run,
     rule_downtime_retransmit,
     rule_assist_overhead,

@@ -139,3 +139,55 @@ def test_one_flags_to_spec_function_serves_migrate_and_submit():
     driver = wan.build_driver()
     assert driver.experiment.supervision["rescue"] is False
     assert driver.experiment.supervision["scale_timeouts"] is False
+
+
+@pytest.fixture(scope="module")
+def export(tmp_path_factory):
+    """A finalized ``--telemetry-out`` stream of one small migration."""
+    import contextlib
+    import io
+
+    path = tmp_path_factory.mktemp("export") / "run.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["migrate", *SMALL_MIGRATE, "--warmup-s", "2",
+                     "--cooldown-s", "1", "--telemetry-out", str(path)]) == 0
+    return path
+
+
+def test_options_may_sit_before_or_after_the_files(export, tmp_path, capsys):
+    """``attribute --audit run.jsonl`` parses like ``attribute run.jsonl
+    --audit``, and so do doctor, compare, watch and archive."""
+    path = str(export)
+    db = str(tmp_path / "runs.db")
+    for before, after in [
+        (["attribute", "--audit", path], ["attribute", path, "--audit"]),
+        (["doctor", "--no-sparklines", path], ["doctor", path, "--no-sparklines"]),
+        (["compare", "--threshold-pct", "5", path, path],
+         ["compare", path, path, "--threshold-pct", "5"]),
+        (["watch", "--json", path], ["watch", path, "--json"]),
+        (["archive", "--db", db, "ingest", path], ["archive", "ingest", path, "--db", db]),
+    ]:
+        assert main(before) == 0, before
+        first = capsys.readouterr().out
+        assert main(after) == 0, after
+        second = capsys.readouterr().out
+        if before[0] != "archive":  # the second ingest finds the run archived
+            assert first == second, before
+
+
+def test_doctor_names_an_unfinalized_stream(export, tmp_path, capsys):
+    """A stream cut before its span, metric and attribution lines (what
+    a crashed writer leaves) is reported, not passed as healthy."""
+    import json
+
+    lines = export.read_text().splitlines(keepends=True)
+    live = [line for line in lines
+            if json.loads(line)["type"] not in ("span", "metric", "attribution")]
+    assert 0 < len(live) < len(lines)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(live))
+    assert main(["doctor", str(cut), "--no-sparklines"]) == 0
+    out = capsys.readouterr().out
+    assert "unfinalized" in out and "no findings" not in out
+    assert main(["doctor", str(export), "--no-sparklines"]) == 0
+    assert "unfinalized" not in capsys.readouterr().out
