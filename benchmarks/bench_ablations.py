@@ -5,13 +5,11 @@ the deferred-expand final update, the enforced GC, the straggler
 timeout — and position JAVMM against the Section-2 baselines.
 """
 
-from conftest import run_once
-
 from repro.experiments import ablations
 
 
-def test_ablation_final_update_modes(benchmark):
-    modes = run_once(benchmark, ablations.final_update_modes)
+def test_ablation_final_update_modes():
+    modes = ablations.final_update_modes()
     by_name = {m.mode: m for m in modes}
     print()
     for m in modes:
@@ -24,8 +22,8 @@ def test_ablation_final_update_modes(benchmark):
     assert by_name["deferred-expand"].final_update_s < 300e-6
 
 
-def test_ablation_no_enforced_gc_loses_data(benchmark):
-    result = run_once(benchmark, ablations.no_enforced_gc)
+def test_ablation_no_enforced_gc_loses_data():
+    result = ablations.no_enforced_gc()
     print()
     print(
         f"  live Young pages {result.live_young_pages}, "
@@ -36,8 +34,8 @@ def test_ablation_no_enforced_gc_loses_data(benchmark):
     assert result.stale_pages_at_destination > 0
 
 
-def test_ablation_baseline_comparison(benchmark):
-    rows = run_once(benchmark, ablations.baseline_comparison)
+def test_ablation_baseline_comparison():
+    rows = ablations.baseline_comparison()
     by_engine = {r.engine: r for r in rows}
     print()
     for r in rows:
@@ -63,8 +61,8 @@ def test_ablation_baseline_comparison(benchmark):
     assert by_engine["stopcopy"].app_downtime_s > 10.0
 
 
-def test_ablation_straggler_timeout(benchmark):
-    result = run_once(benchmark, ablations.straggler_timeout)
+def test_ablation_straggler_timeout():
+    result = ablations.straggler_timeout()
     print()
     print(
         f"  completed={result.completed} verified={result.verified} "

@@ -6,8 +6,6 @@ with the assisted engine, correctness holds for each, and the benefit
 ordering follows the categories (1 > 2 > 3).
 """
 
-from conftest import run_once
-
 from repro.experiments.common import run_migration
 from repro.units import GIB
 from repro.workloads.spec import REGISTRY
@@ -20,8 +18,8 @@ def run_all():
     return results
 
 
-def test_all_workloads_migrate_with_javmm(benchmark):
-    results = run_once(benchmark, run_all)
+def test_all_workloads_migrate_with_javmm():
+    results = run_all()
     print()
     skipped_share = {}
     for name, result in sorted(results.items()):

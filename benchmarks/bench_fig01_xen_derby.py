@@ -4,14 +4,14 @@ Paper: ~66 s, ~7 GB traffic, ~8 s downtime; per-iteration dirtying rate
 stays above the transfer rate so the dirty set never shrinks.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig01
 from repro.units import MIB
 
 
-def test_fig01_xen_derby(benchmark):
-    result = run_once(benchmark, fig01.run)
+def test_fig01_xen_derby():
+    result = fig01.run()
     print()
     print("Figure 1 rows (iter, duration, transfer MB/s, dirtying MB/s):")
     for row in fig01.rows(result):

@@ -6,13 +6,13 @@ has the longest minor GC (~1.5 s); collecting garbage beats pushing it
 through a gigabit link for all but scimark.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig05
 
 
-def test_fig05_heap_profiles(benchmark):
-    profiles = run_once(benchmark, fig05.run, duration_s=600.0)
+def test_fig05_heap_profiles():
+    profiles = fig05.run(duration_s=600.0)
     print()
     print("Figure 5 rows (workload, young MB, old MB, garbage/GC, live/GC, GC s):")
     for p in profiles:

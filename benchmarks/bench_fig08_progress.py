@@ -5,14 +5,14 @@ Paper: Xen 58 s / 6.1 GB / 30 iterations; JAVMM 17 s / 1.6 GB /
 stop-and-copy.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig08
 from repro.units import MIB
 
 
-def test_fig08_progress(benchmark):
-    results = run_once(benchmark, fig08.run)
+def test_fig08_progress():
+    results = fig08.run()
     print()
     for engine in ("xen", "javmm"):
         rep = results[engine].report

@@ -5,13 +5,13 @@ Paper: both engines skip ~500 MB of already-dirtied memory in iteration
 and its mid iterations each process only a few MB of dirty memory.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig09
 
 
-def test_fig09_memory_processed(benchmark):
-    results = run_once(benchmark, fig09.run)
+def test_fig09_memory_processed():
+    results = fig09.run()
     print()
     for engine in ("xen", "javmm"):
         print(f"Figure 9 {engine} (transferred / skipped-dirty / skipped-young MB):")

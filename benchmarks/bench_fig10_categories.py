@@ -4,13 +4,13 @@ Paper: derby −82 %/−84 %/−83 % (time/traffic/downtime), crypto
 −69 %/−72 %/−73 %, scimark roughly at parity with no downtime win.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig10
 
 
-def test_fig10_categories(benchmark):
-    rows, results = run_once(benchmark, fig10.run)
+def test_fig10_categories():
+    rows, results = fig10.run()
     print()
     print("Figure 10 (workload, xen/javmm time s, traffic GiB, downtime s):")
     for r in rows:

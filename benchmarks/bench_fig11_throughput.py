@@ -4,13 +4,13 @@ Paper: with JAVMM the workload sees only a short pause; with Xen an
 extended downtime (derby: >20 % slowdown while Xen migration runs).
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig11
 
 
-def test_fig11_throughput(benchmark):
-    results = run_once(benchmark, fig11.run)
+def test_fig11_throughput():
+    results = fig11.run()
     print()
     print("Figure 11 (workload, engine, ops/s before, drop during, downtime, after):")
     for workload in fig11.WORKLOADS:

@@ -5,13 +5,13 @@ Paper: time reductions 91 % (xml, 1.5 GB Young) > 82 % (derby, 1 GB)
 ~13 s while JAVMM stays ~1.2 s.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import fig12
 
 
-def test_fig12_younggen_sweep(benchmark):
-    rows, results = run_once(benchmark, fig12.run)
+def test_fig12_younggen_sweep():
+    rows, results = fig12.run()
     print()
     print("Figure 12 (workload, young MB, xen/javmm time, traffic, downtime):")
     for r in rows:

@@ -5,13 +5,11 @@ coordinates their bitmap updates without cross-application interference
 and the migration verifies page-exactly.
 """
 
-from conftest import run_once
-
 from repro.experiments import multiapp
 
 
-def test_multiapp_coordination(benchmark):
-    result = run_once(benchmark, multiapp.run)
+def test_multiapp_coordination():
+    result = multiapp.run()
     print()
     print(
         f"  apps={result.apps_assisting} enforced_gcs={result.enforced_gcs} "

@@ -8,7 +8,6 @@ the primary outside the deprotected areas.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core.builders import build_java_vm
 from repro.guest import messages as msg
@@ -44,8 +43,8 @@ def run_both():
     return replicate(False), replicate(True)
 
 
-def test_remus_deprotection(benchmark):
-    plain, deprotected = run_once(benchmark, run_both)
+def test_remus_deprotection():
+    plain, deprotected = run_both()
     plain_pages = sum(e.pages_sent for e in plain.epochs[1:])
     dep_pages = sum(e.pages_sent for e in deprotected.epochs[1:])
     print()

@@ -7,7 +7,6 @@ runtime (ephemeral segment skipped), and a G1-style region heap
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.guest.kernel import GuestKernel
 from repro.guest.lkm import AssistLKM
@@ -79,8 +78,8 @@ def run_all():
     return results
 
 
-def test_runtime_generality(benchmark):
-    results = run_once(benchmark, run_all)
+def test_runtime_generality():
+    results = run_all()
     print()
     for name, pair in results.items():
         xen, assisted = pair["xen"], pair["assisted"]

@@ -4,13 +4,13 @@ The paper's claim: JAVMM's benefits persist as VM sizes, dirtying rates
 and link speeds grow proportionally.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import scaleup
 
 
-def test_scaleup_benefits_persist(benchmark):
-    rows = run_once(benchmark, scaleup.run)
+def test_scaleup_benefits_persist():
+    rows = scaleup.run()
     print()
     for r in rows:
         print(

@@ -3,13 +3,13 @@
 Paper: young/old at migration = 1024/259, 456/18, 128/486 MB.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import table2
 
 
-def test_table2_settings(benchmark):
-    rows = run_once(benchmark, table2.run)
+def test_table2_settings():
+    rows = table2.run()
     print()
     for r in rows:
         print(

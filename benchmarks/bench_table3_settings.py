@@ -4,13 +4,13 @@ Paper: xml/derby/compiler reach their 1536/1024/512 MB Young maxima
 (75/50/25 % of the 2 GB VM) with Old generations of 28/259/86 MB.
 """
 
-from conftest import assert_shape, run_once
+from conftest import assert_shape
 
 from repro.experiments import table3
 
 
-def test_table3_settings(benchmark):
-    rows = run_once(benchmark, table3.run)
+def test_table3_settings():
+    rows = table3.run()
     print()
     for r in rows:
         print(

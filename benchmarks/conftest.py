@@ -3,15 +3,11 @@
 Each benchmark regenerates one figure or table of the paper's
 evaluation, prints the measured rows next to the paper's numbers, and
 asserts that the *shape* of the result holds (who wins, by roughly what
-factor).  Simulations are deterministic, so a single round suffices.
+factor).  Simulations are deterministic, so each check is a plain test
+that runs its experiment once: ``pytest benchmarks/``.
 """
 
 from __future__ import annotations
-
-
-def run_once(benchmark, fn, **kwargs):
-    """Run *fn* exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def assert_shape(checks) -> None:

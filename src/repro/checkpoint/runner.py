@@ -136,7 +136,7 @@ class Checkpointer:
         every checkpointer on this one's meter.
 
         The numerator of the overhead fraction the throttle meters (and
-        the quantity ``bench_pr6_checkpoint.py`` gates against run wall
+        the quantity ``benchmarks/overheads.py`` gates against sweep wall
         time)."""
         return self.meter.spent_s
 

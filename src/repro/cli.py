@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
             "conservation-checked attribution waterfall of an export; "
             "'watch' tails telemetry streams into a live status board; "
             "'archive' manages the SQLite multi-run archive "
-            "(ingest/query/trend/export); 'serve' runs the migration-"
+            "(ingest/query/export); 'serve' runs the migration-"
             "manager daemon over --service-dir; 'ctl' sends it control "
             "verbs (submit/status/list/pause/resume/stop-and-copy/"
             "abort/finalize/wait/watch/ping/shutdown)"
@@ -86,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "inputs for 'doctor'/'attribute' (one telemetry JSONL "
-            "export), 'compare' (baseline then candidate: telemetry "
-            "JSONL or BENCH_*.json), 'watch' (streams to tail), and "
-            "'archive' (an action — ingest/query/trend/export — "
+            "export), 'compare' (baseline then candidate telemetry "
+            "JSONL export), 'watch' (streams to tail), and "
+            "'archive' (an action — ingest/query/export — "
             "followed by its arguments)"
         ),
     )
@@ -555,9 +555,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     inputs = _resolve_inputs(args)
     if len(inputs) != 2:
         print(
-            "compare needs a baseline and a candidate "
-            "(telemetry JSONL or BENCH_*.json; FILEs first, then any "
-            "--from-archive RUN_IDs)",
+            "compare needs a baseline and a candidate telemetry "
+            "export (FILEs first, then any --from-archive RUN_IDs)",
             file=sys.stderr,
         )
         return 2
@@ -615,13 +614,13 @@ def _run_watch(args: argparse.Namespace) -> int:
 
 
 def _run_archive(args: argparse.Namespace) -> int:
-    """``archive ACTION [ARGS...]``: ingest / query / trend / export."""
+    """``archive ACTION [ARGS...]``: ingest / query / export."""
     from repro.telemetry.archive import RunArchive
 
     if not args.paths:
         print(
             "archive needs an action: ingest FILE..., query [RUN_ID], "
-            "trend, export RUN_ID OUT",
+            "export RUN_ID OUT",
             file=sys.stderr,
         )
         return 2
@@ -647,15 +646,6 @@ def _run_archive(args: argparse.Namespace) -> int:
             payload = archive.query(rest[0])
             print(json.dumps(payload, indent=2))
             return 0
-        if action == "trend":
-            trend = archive.trend()
-            if args.json:
-                print(json.dumps(trend, indent=2))
-            else:
-                from repro.viz import trend_table
-
-                print(trend_table(trend))
-            return 1 if trend["regressions"] else 0
         if action == "export":
             if len(rest) != 2:
                 print("archive export needs RUN_ID and OUT", file=sys.stderr)

@@ -234,19 +234,16 @@ class Link:
                 pages=0, payload_bytes=0, wire_bytes=retrans, category="loss_retx"
             )
         if self.probe.enabled:
-            self.probe.count("net.pages", n_pages)
-            self.probe.count("net.payload_bytes", payload)
-            self.probe.count("net.wire_bytes", wire)
-            self.probe.count(
-                "net.category_wire_bytes", wire - retrans, category=category
-            )
+            counters = self.probe.counters
+            counters["net.pages"].value += n_pages
+            counters["net.payload_bytes"].value += payload
+            counters["net.wire_bytes"].value += wire
+            counters["net.category_wire_bytes", category].value += wire - retrans
             # Emitted even when zero so downstream comparators always
             # find the series and can gate on its growth.
-            self.probe.count("net.retransmit_wire_bytes", retrans)
+            counters["net.retransmit_wire_bytes"].value += retrans
             if retrans:
-                self.probe.count(
-                    "net.category_wire_bytes", retrans, category="loss_retx"
-                )
+                counters["net.category_wire_bytes", "loss_retx"].value += retrans
         return wire
 
     def account_control(self, n_bytes: int, category: str = "control") -> int:
@@ -255,7 +252,8 @@ class Link:
             pages=0, payload_bytes=0, wire_bytes=int(n_bytes), category=category
         )
         if self.probe.enabled:
-            self.probe.count("net.control_bytes", int(n_bytes))
-            self.probe.count("net.wire_bytes", int(n_bytes))
-            self.probe.count("net.category_wire_bytes", int(n_bytes), category=category)
+            counters = self.probe.counters
+            counters["net.control_bytes"].value += int(n_bytes)
+            counters["net.wire_bytes"].value += int(n_bytes)
+            counters["net.category_wire_bytes", category].value += int(n_bytes)
         return int(n_bytes)

@@ -14,7 +14,7 @@ PR 6 invariant), a session's final report, page-version array and
 attribution ledger are bit-identical to the same
 :class:`SessionConfig` run standalone through
 :func:`run_standalone` — the kernel-equivalence suite and
-``bench_pr10_service.py`` both enforce the digest equality.
+``tests/test_service_chaos.py`` both enforce the digest equality.
 
 Everything durable lives under the session's directory::
 

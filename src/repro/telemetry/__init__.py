@@ -34,8 +34,8 @@ every layer shares:
   per-migration status and fleet-wide percentile rollups
   (``repro watch``);
 - :mod:`repro.telemetry.archive` — the SQLite multi-run archive:
-  ``repro archive ingest/query/trend`` indexes streams and bench
-  payloads into queryable tables.
+  ``repro archive ingest/query/export`` indexes streams into
+  queryable tables.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and metric names.
 """

@@ -10,17 +10,16 @@ JSONL export); this package makes it *self-diagnosing*:
 - :class:`Doctor` — a rule catalogue that turns one telemetry export
   into ranked :class:`Finding`\\ s with span/series/metric evidence
   pointers (``repro doctor run.jsonl``);
-- :func:`compare_runs` — diffs two exports (telemetry JSONL or
-  ``BENCH_*.json``) into a thresholded regression verdict
-  (``repro compare A B``; the CI bench gate).
+- :func:`compare_runs` — diffs two telemetry exports into a
+  thresholded regression verdict (``repro compare A B``).
 """
 
 from repro.telemetry.analysis.compare import (
     ComparisonResult,
     MeasureDelta,
     compare_runs,
+    compare_summaries,
     load_run,
-    summarize_bench,
     summarize_dump,
 )
 from repro.telemetry.analysis.convergence import (
@@ -48,9 +47,9 @@ __all__ = [
     "Finding",
     "MeasureDelta",
     "compare_runs",
+    "compare_summaries",
     "load_run",
     "replay_convergence",
     "replay_convergence_segments",
-    "summarize_bench",
     "summarize_dump",
 ]

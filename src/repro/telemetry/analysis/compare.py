@@ -1,35 +1,25 @@
-"""Run-to-run regression diffing of telemetry / bench exports.
+"""Run-to-run regression diffing of telemetry exports.
 
 ``repro compare A B`` answers "did this change regress migration?"
-by summarizing two runs into comparable measures and diffing them
-against per-measure thresholds.  Two input shapes are understood,
-sniffed from the file contents:
+by summarizing two unified telemetry JSONL exports into comparable
+measures and diffing them against per-measure thresholds: downtime
+(stop-and-copy + resume spans), total migration time (completed
+``migration`` spans), wire and retransmitted bytes (``net.*`` metrics)
+and abort count.  A file that is not a telemetry stream is refused
+with :class:`~repro.errors.TelemetryFormatError`.
 
-- a **unified telemetry JSONL export** (``repro-telemetry/1`` or
-  ``/2``): downtime (stop-and-copy + resume spans), total migration
-  time (completed ``migration`` spans), wire bytes (``net.wire_bytes``)
-  and abort count are extracted per run;
-- a **bench JSON** (``BENCH_*.json``): every ``runs[]`` entry
-  contributes its numeric fields, keyed by workload/engine (medians
-  across repeated rounds).
-
-Only *simulated* measures gate by default (downtime, total time, wire
-bytes): they are deterministic for a given seed, so any drift is a
-code change, not machine noise.  Wall-clock fields (``wall_s``,
-``baseline_s``, …) are reported but never fail the comparison unless
-an explicit threshold is supplied.
+Only *simulated* measures gate by default: they are deterministic for
+a given seed, so any drift is a code change, not machine noise.
+Measures without a threshold (``saved_bytes``) are reported but never
+fail the comparison unless an explicit threshold is supplied.
 
 A measure regresses when it grows beyond its threshold percentage
 *and* beyond a small absolute floor (so a 0.1 ms downtime cannot
-"regress by 200 %").  Improvements never fail.  The CI gate
-(``make check-bench``) runs this comparator against the checked-in
-``BENCH_*.json`` baselines.
+"regress by 200 %").  Improvements never fail.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +30,6 @@ from repro.telemetry.export import TelemetryDump, read_jsonl
 DEFAULT_THRESHOLDS: dict[str, float] = {
     "downtime_s": 5.0,
     "total_time_s": 5.0,
-    "migration_total_s": 5.0,
     "wire_bytes": 5.0,
     "retransmit_wire_bytes": 5.0,
     "aborts": 0.0,
@@ -48,7 +37,6 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 ABS_FLOORS: dict[str, float] = {
     "downtime_s": 1e-3,
     "total_time_s": 1e-3,
-    "migration_total_s": 1e-3,
     "wire_bytes": 4096.0,
     "retransmit_wire_bytes": 4096.0,
     "aborts": 0.0,
@@ -59,7 +47,7 @@ ABS_FLOORS: dict[str, float] = {
 class MeasureDelta:
     """One measure of one run key, before vs after."""
 
-    key: str  # run identity ("migration", "derby/javmm", ...)
+    key: str  # run identity (``summarize_dump`` keys it "migration")
     measure: str
     before: float
     after: float
@@ -180,41 +168,8 @@ def summarize_dump(dump: TelemetryDump) -> dict[str, dict[str, float]]:
     return {"migration": measures}
 
 
-def summarize_bench(payload: dict) -> dict[str, dict[str, float]]:
-    """Per-run medians of every numeric field in a BENCH_*.json."""
-    grouped: dict[str, dict[str, list[float]]] = {}
-    for run in payload.get("runs", []):
-        key_parts = [
-            str(run[k]) for k in ("workload", "engine") if k in run
-        ]
-        if "telemetry" in run:
-            key_parts.append("telemetry" if run["telemetry"] else "plain")
-        if "analysis" in run:
-            key_parts.append("analysis" if run["analysis"] else "plain")
-        if "attribution" in run:
-            key_parts.append("attribution" if run["attribution"] else "plain")
-        key = "/".join(key_parts) or "run"
-        bucket = grouped.setdefault(key, {})
-        for name, value in run.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                bucket.setdefault(name, []).append(float(value))
-    return {
-        key: {name: statistics.median(vals) for name, vals in fields.items()}
-        for key, fields in grouped.items()
-    }
-
-
 def load_run(path: "str | Path") -> dict[str, dict[str, float]]:
-    """Sniff *path* (telemetry JSONL vs bench JSON) and summarize it."""
-    text = Path(path).read_bytes().decode("utf-8", "replace")
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"runs"' in text:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            payload = None
-        if isinstance(payload, dict):
-            return summarize_bench(payload)
+    """Summarize the telemetry export at *path*."""
     return summarize_dump(read_jsonl(path))
 
 
@@ -227,20 +182,32 @@ def compare_runs(
     threshold_pct: float | None = None,
     thresholds: dict[str, float] | None = None,
 ) -> ComparisonResult:
-    """Diff run *B* (candidate) against run *A* (baseline).
+    """Diff the export at *path_b* (candidate) against *path_a*."""
+    return compare_summaries(
+        load_run(path_a), load_run(path_b), threshold_pct, thresholds,
+        names=(str(path_a), str(path_b)),
+    )
+
+
+def compare_summaries(
+    a: dict[str, dict[str, float]],
+    b: dict[str, dict[str, float]],
+    threshold_pct: float | None = None,
+    thresholds: dict[str, float] | None = None,
+    names: tuple[str, str] = ("A", "B"),
+) -> ComparisonResult:
+    """Diff summary *b* (candidate) against summary *a* (baseline).
 
     *threshold_pct* overrides every default gate percentage at once;
     *thresholds* overrides per measure (and may add gates for measures
-    that default to informational, e.g. ``wall_s``).
+    that default to informational).
     """
     gates = dict(DEFAULT_THRESHOLDS)
     if threshold_pct is not None:
         gates = {name: threshold_pct for name in gates}
     if thresholds:
         gates.update(thresholds)
-    a = load_run(path_a)
-    b = load_run(path_b)
-    result = ComparisonResult(path_a=str(path_a), path_b=str(path_b))
+    result = ComparisonResult(path_a=names[0], path_b=names[1])
     result.only_in_a = sorted(set(a) - set(b))
     result.only_in_b = sorted(set(b) - set(a))
     for key in sorted(set(a) & set(b)):

@@ -2,15 +2,15 @@
 
 One migration produces one stream; a fleet produces thousands, and the
 questions change shape: *which* runs aborted on the continental link,
-how did downtime trend across the last six benchmark generations, what
-did iteration 7 of attempt 2 of run ``9f31c02a77d4`` look like?  The
-archive answers those without re-parsing JSONL: ``repro archive
-ingest`` indexes telemetry streams and ``BENCH_*.json`` payloads into
-queryable tables, and every complete raw line is retained so the exact
-original stream (and therefore the exact original
+what did iteration 7 of attempt 2 of run ``9f31c02a77d4`` look like?
+The archive answers those without re-parsing JSONL: ``repro archive
+ingest`` indexes telemetry streams into queryable tables, and every
+complete raw line is retained so the exact original stream (and
+therefore the exact original
 :class:`~repro.telemetry.export.TelemetryDump`) can always be rebuilt —
 ``--from-archive RUN_ID`` feeds ``repro doctor`` / ``repro compare``
-straight from the database.
+straight from the database.  A file that is not a telemetry stream is
+refused with :class:`~repro.errors.TelemetryFormatError`.
 
 Design points:
 
@@ -19,22 +19,15 @@ Design points:
   file is a no-op, and two hosts archiving the same run agree on its
   name.
 - **Uses only the stdlib** ``sqlite3`` module, one database file.
-- **Long-format measures.** Bench gate values and per-run measures are
-  stored as ``(measure, value)`` rows, so new benchmark generations
-  need no schema migrations.
-- **Trend over history.** Each ingest keeps its insertion order, so
-  ``repro archive trend`` can both plot the PR3→PR8 trajectory (latest
-  ingest per benchmark, ordered by PR number) and flag regressions by
-  comparing the two most recent ingests *of the same benchmark* —
-  cross-benchmark numbers measure different things and are displayed,
-  never compared.
+- **Old databases stay readable.** A database written when the archive
+  also indexed bench payloads keeps those tables and ``kind='bench'``
+  runs; they are listed but no longer written, and its telemetry runs
+  answer as before.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import re
 import sqlite3
 from pathlib import Path
 
@@ -44,8 +37,8 @@ SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS runs (
     seq        INTEGER PRIMARY KEY AUTOINCREMENT,
     run_id     TEXT UNIQUE NOT NULL,
-    kind       TEXT NOT NULL,            -- 'telemetry' | 'bench'
-    name       TEXT NOT NULL,            -- stream schema or benchmark name
+    kind       TEXT NOT NULL,            -- 'telemetry' (old databases: 'bench')
+    name       TEXT NOT NULL,            -- stream schema
     path       TEXT NOT NULL,            -- source file at ingest time
     n_records  INTEGER NOT NULL
 );
@@ -99,49 +92,15 @@ CREATE TABLE IF NOT EXISTS samples (
     value   REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS samples_by_series ON samples (run_id, series, time_s);
-CREATE TABLE IF NOT EXISTS bench_runs (
-    run_id   TEXT NOT NULL,
-    row_no   INTEGER NOT NULL,
-    workload TEXT NOT NULL,
-    engine   TEXT NOT NULL,
-    measure  TEXT NOT NULL,
-    value    REAL NOT NULL,
-    PRIMARY KEY (run_id, row_no, measure)
-);
-CREATE TABLE IF NOT EXISTS bench_gates (
-    run_id  TEXT NOT NULL,
-    measure TEXT NOT NULL,
-    value   REAL NOT NULL,
-    PRIMARY KEY (run_id, measure)
-);
 """
 
 #: ledger dict fields broken out into ``ledger_buckets`` rows
 LEDGER_DIMENSIONS = ("time_ns", "downtime_s", "wire_bytes", "saved_bytes", "overlays")
 
-#: trend regression tolerance: a gate measure moving more than this
-#: fraction in the bad direction between two ingests of the *same*
-#: benchmark is flagged
-TREND_TOLERANCE = 0.10
-
-#: gate measures where *larger* is better (everything else numeric with
-#: a time/ratio/byte suffix is treated as smaller-is-better)
-_LARGER_IS_BETTER = re.compile(r"(speedup|survival|saved|rescued)", re.IGNORECASE)
-_SMALLER_IS_BETTER = re.compile(r"(_s$|_ms$|_pct$|_bytes$|overhead|aborted)")
-
 
 def run_id_for(path: str | Path) -> str:
     """Content id of a file: first 12 hex chars of its SHA-256."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
-
-
-def _looks_like_bench(first_line: str, payload_head: str) -> bool:
-    """A bench payload is one pretty-printed JSON object with a
-    ``benchmark`` key; a telemetry stream is JSONL with a meta header."""
-    stripped = first_line.strip()
-    if stripped.startswith("{") and '"type"' in stripped:
-        return False
-    return '"benchmark"' in payload_head
 
 
 class RunArchive:
@@ -165,9 +124,12 @@ class RunArchive:
     # -- ingest --------------------------------------------------------------------------
 
     def ingest(self, path: str | Path) -> tuple[str, bool]:
-        """Index one file (telemetry JSONL or bench JSON); returns
-        ``(run_id, created)``.  Idempotent: a file whose bytes are
-        already archived is skipped."""
+        """Index one telemetry stream file; returns ``(run_id, created)``.
+
+        Idempotent: a file whose bytes are already archived is skipped.
+        Each complete non-blank line is kept, a corrupt one included; a
+        torn last line is counted (and warned about) but not kept.
+        """
         path = Path(path)
         run_id = run_id_for(path)
         cur = self._conn.execute(
@@ -176,18 +138,6 @@ class RunArchive:
         if cur.fetchone() is not None:
             return run_id, False
         data = path.read_bytes()
-        head = data[:4096].decode("utf-8", "replace")
-        if _looks_like_bench(head.split("\n", 1)[0], head):
-            self._ingest_bench(run_id, path, json.loads(data))
-        else:
-            self._ingest_telemetry(run_id, path, data)
-        self._conn.commit()
-        return run_id, True
-
-    def _ingest_telemetry(self, run_id: str, path: Path, data: bytes) -> None:
-        """Index the stream's records and keep each complete non-blank
-        line, a corrupt one included; a torn last line is counted (and
-        warned about) but not kept."""
         dump = read_stream(data, str(path))
         lines = [raw.strip() for raw in data.split(b"\n")[:-1]]
         lines = [raw.decode("utf-8", "replace") for raw in lines if raw]
@@ -201,6 +151,8 @@ class RunArchive:
             (run_id, dump.schema, str(path), len(lines)),
         )
         self._index_dump(run_id, dump)
+        self._conn.commit()
+        return run_id, True
 
     def _index_dump(self, run_id: str, dump: TelemetryDump) -> None:
         for span in dump.spans:
@@ -271,39 +223,6 @@ class RunArchive:
                 (run_id, sample["series"], sample["time_s"], sample["value"]),
             )
 
-    def _ingest_bench(self, run_id: str, path: Path, payload: dict) -> None:
-        name = str(payload.get("benchmark", path.stem))
-        self._conn.execute(
-            "INSERT INTO runs (run_id, kind, name, path, n_records)"
-            " VALUES (?, 'bench', ?, ?, ?)",
-            (run_id, name, str(path), len(payload.get("runs", []))),
-        )
-        self._conn.execute(
-            "INSERT INTO raw_lines (run_id, line_no, line) VALUES (?, 0, ?)",
-            (run_id, json.dumps(payload)),
-        )
-        for measure, value in payload.items():
-            if isinstance(value, bool):
-                value = 1.0 if value else 0.0
-            elif not isinstance(value, (int, float)):
-                continue
-            self._conn.execute(
-                "INSERT OR REPLACE INTO bench_gates VALUES (?, ?, ?)",
-                (run_id, measure, float(value)),
-            )
-        for row_no, row in enumerate(payload.get("runs", [])):
-            workload = str(row.get("workload", ""))
-            engine = str(row.get("engine", ""))
-            for measure, value in row.items():
-                if isinstance(value, bool):
-                    value = 1.0 if value else 0.0
-                elif not isinstance(value, (int, float)):
-                    continue
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO bench_runs VALUES (?, ?, ?, ?, ?, ?)",
-                    (run_id, row_no, workload, engine, measure, float(value)),
-                )
-
     # -- queries -------------------------------------------------------------------------
 
     def runs(self) -> list[dict]:
@@ -365,19 +284,6 @@ class RunArchive:
             "run_id": run_id, "kind": kind, "name": name,
             "path": path, "n_records": n_records,
         }
-        if kind == "bench":
-            cur = self._conn.execute(
-                "SELECT measure, value FROM bench_gates WHERE run_id = ?"
-                " ORDER BY measure",
-                (run_id,),
-            )
-            out["gates"] = {m: v for m, v in cur.fetchall()}
-            cur = self._conn.execute(
-                "SELECT COUNT(DISTINCT row_no) FROM bench_runs WHERE run_id = ?",
-                (run_id,),
-            )
-            out["bench_rows"] = cur.fetchone()[0]
-            return out
         cur = self._conn.execute(
             "SELECT attempt, engine, start_s, end_s, aborted, stop_reason,"
             " verified FROM attempts WHERE run_id = ? ORDER BY start_s",
@@ -415,89 +321,3 @@ class RunArchive:
         )
         out["samples"] = {series: count for series, count in cur.fetchall()}
         return out
-
-    def sweep(self, benchmark: str | None = None) -> list[dict]:
-        """Per-cell bench measures across archived bench payloads."""
-        sql = (
-            "SELECT r.name, b.run_id, b.workload, b.engine, b.measure, b.value"
-            " FROM bench_runs b JOIN runs r ON r.run_id = b.run_id"
-        )
-        params: tuple = ()
-        if benchmark is not None:
-            sql += " WHERE r.name = ?"
-            params = (benchmark,)
-        sql += " ORDER BY r.seq, b.row_no, b.measure"
-        cur = self._conn.execute(sql, params)
-        return [
-            dict(zip(
-                ("benchmark", "run_id", "workload", "engine", "measure", "value"),
-                row,
-            ))
-            for row in cur.fetchall()
-        ]
-
-    # -- trend ---------------------------------------------------------------------------
-
-    @staticmethod
-    def _pr_order(name: str) -> tuple:
-        m = re.search(r"pr(\d+)", name)
-        return (0, int(m.group(1)), name) if m else (1, 0, name)
-
-    def trend(self, tolerance: float = TREND_TOLERANCE) -> dict:
-        """The bench trajectory plus within-benchmark regressions.
-
-        ``trajectory`` is the latest ingest of every benchmark, ordered
-        by PR number — the PR3→PR8 story.  ``regressions`` compares the
-        two most recent ingests of the *same* benchmark name: a gate
-        measure that moved more than *tolerance* in its bad direction
-        (larger for times/overheads/bytes, smaller for speedups and
-        survival rates) is flagged.  Cross-benchmark comparisons are
-        never made — different benchmarks gate different quantities.
-        """
-        by_name: dict[str, list[dict]] = {}
-        for run in self.runs():
-            if run["kind"] == "bench":
-                by_name.setdefault(run["name"], []).append(run)
-        trajectory = []
-        regressions = []
-        for name in sorted(by_name, key=self._pr_order):
-            history = by_name[name]  # oldest ingest first
-            latest = history[-1]
-            gates = self.query(latest["run_id"])["gates"]
-            trajectory.append({
-                "benchmark": name,
-                "run_id": latest["run_id"],
-                "ingests": len(history),
-                "gates": gates,
-            })
-            if len(history) < 2:
-                continue
-            prev_gates = self.query(history[-2]["run_id"])["gates"]
-            for measure in sorted(gates):
-                if measure not in prev_gates:
-                    continue
-                before, after = prev_gates[measure], gates[measure]
-                worse = self._is_worse(measure, before, after, tolerance)
-                if worse:
-                    delta_pct = (
-                        (after - before) / abs(before) * 100.0 if before else 0.0
-                    )
-                    regressions.append({
-                        "benchmark": name,
-                        "measure": measure,
-                        "before": before,
-                        "after": after,
-                        "delta_pct": round(delta_pct, 2),
-                    })
-        return {"trajectory": trajectory, "regressions": regressions}
-
-    @staticmethod
-    def _is_worse(measure: str, before: float, after: float,
-                  tolerance: float) -> bool:
-        if _LARGER_IS_BETTER.search(measure):
-            return after < before * (1.0 - tolerance)
-        if _SMALLER_IS_BETTER.search(measure):
-            if before <= 0:
-                return after > tolerance and after > before
-            return after > before * (1.0 + tolerance)
-        return False

@@ -156,6 +156,31 @@ class MetricsSnapshot:
         return len(self.series)
 
 
+class CounterHandles(dict):
+    """A registry's counters, keyed by name or by ``(name, category)``.
+
+    Hot paths that count once per batch look a handle up here instead
+    of calling :meth:`MetricsRegistry.counter`, which builds and sorts
+    a label key on every call, and add their (never negative) amount to
+    its ``value`` directly.  A handle is resolved on first use, the
+    moment the registry lookup would have created the series, so the
+    series order and values of a snapshot stay the same.
+    """
+
+    def __init__(self, registry: "MetricsRegistry") -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key: "str | tuple[str, str]") -> Counter:
+        if isinstance(key, tuple):
+            name, category = key
+            found = self.registry.counter(name, category=category)
+        else:
+            found = self.registry.counter(key)
+        self[key] = found
+        return found
+
+
 class MetricsRegistry:
     """All instruments of one simulation, keyed by ``(name, labels)``."""
 

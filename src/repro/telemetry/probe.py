@@ -16,7 +16,9 @@ the unified JSONL export.
 
 from __future__ import annotations
 
-from repro.telemetry.metrics import MetricsRegistry
+from functools import cached_property
+
+from repro.telemetry.metrics import CounterHandles, MetricsRegistry
 from repro.telemetry.timeseries import TimeseriesStore
 from repro.telemetry.tracer import Span, Tracer
 
@@ -45,8 +47,17 @@ class Probe:
 
     # -- metrics -------------------------------------------------------------------------
 
+    @cached_property
+    def counters(self) -> CounterHandles:
+        """The registry's counters by name (or ``(name, category)``), for
+        hot paths: ``probe.counters["net.pages"].value += n``.  Cached on the
+        instance on first use, so a probe restored from a checkpoint
+        written before it existed builds its own."""
+        return CounterHandles(self.metrics)
+
     def count(self, name: str, amount: float = 1.0, **labels) -> None:
-        self.metrics.counter(name, **labels).inc(amount)
+        counter = self.metrics.counter(name, **labels) if labels else self.counters[name]
+        counter.inc(amount)
 
     def gauge(self, name: str, value: float, **labels) -> None:
         self.metrics.gauge(name, **labels).set(value)

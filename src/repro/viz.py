@@ -398,33 +398,3 @@ def live_board(board: dict, fleet: bool | None = None) -> str:
             f"p99 {fmt_bytes(quantiles.get('p99', 0.0))}"
         )
     return "\n".join(lines + notes)
-
-
-def trend_table(trend: dict) -> str:
-    """Render ``repro archive trend``: the per-PR bench trajectory plus
-    any within-benchmark regressions between the two latest ingests."""
-    lines = []
-    for entry in trend.get("trajectory", []):
-        gates = entry.get("gates", {})
-        lines.append(
-            f"{entry.get('benchmark', '?'):<28} "
-            f"run {entry.get('run_id', '?')}  "
-            f"ingests {entry.get('ingests', 1)}"
-        )
-        for measure in sorted(gates):
-            lines.append(f"    {measure:<28} {gates[measure]:.6g}")
-    if not lines:
-        return "(no bench payloads archived)"
-    regressions = trend.get("regressions", [])
-    lines.append("")
-    if not regressions:
-        lines.append("no regressions between the two latest ingests")
-    else:
-        lines.append(f"{len(regressions)} regression(s) flagged:")
-        for reg in regressions:
-            lines.append(
-                f"  !! {reg['benchmark']}: {reg['measure']} "
-                f"{reg['before']:.6g} -> {reg['after']:.6g} "
-                f"({reg['delta_pct']:+.1f}%)"
-            )
-    return "\n".join(lines)

@@ -44,13 +44,13 @@ class DirtyLog:
         if self._enabled:
             self._bitmap.set_pfns(pfns)
             if self.probe.enabled:
-                self.probe.count("dirty.pages_marked", int(pfns.size))
+                self.probe.counters["dirty.pages_marked"].value += int(pfns.size)
 
     def mark_range(self, start: int, end: int) -> None:
         if self._enabled:
             self._bitmap.set_range(start, end)
             if self.probe.enabled:
-                self.probe.count("dirty.pages_marked", int(end - start))
+                self.probe.counters["dirty.pages_marked"].value += int(end - start)
 
     def mark_counted(self, pfns: np.ndarray, marked_events: int) -> None:
         """Record a batch of writes covering *pfns*.
@@ -63,7 +63,7 @@ class DirtyLog:
         if self._enabled:
             self._bitmap.set_pfns(pfns)
             if self.probe.enabled:
-                self.probe.count("dirty.pages_marked", int(marked_events))
+                self.probe.counters["dirty.pages_marked"].value += int(marked_events)
 
     def peek_and_clear(self) -> np.ndarray:
         """Dirty PFNs since the last call; resets the log (CLEAN op)."""

@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.builders import JavaVM
 from repro.core.supervisor import MigrationSupervisor
+from repro.errors import TelemetryFormatError
 from repro.faults import FaultInjector, FaultPlan
 from repro.mem.constants import PAGE_SIZE
 from repro.net.link import Link
@@ -26,12 +27,12 @@ from repro.telemetry.analysis import (
     ConvergenceState,
     Doctor,
     compare_runs,
+    compare_summaries,
     load_run,
     replay_convergence,
     replay_convergence_segments,
-    summarize_bench,
 )
-from repro.telemetry.export import TelemetryDump, read_jsonl, write_jsonl
+from repro.telemetry.export import SCHEMA, TelemetryDump, read_jsonl, write_jsonl
 from repro.telemetry.probe import Probe
 from repro.telemetry.timeseries import Series, TimeseriesStore
 from repro.units import mbit_per_s
@@ -433,81 +434,76 @@ def test_doctor_threshold_overrides():
 # ---------------------------------------------------------------------------
 
 
-def _bench(tmp_path, name, **fields):
-    payload = {"runs": [{"workload": "w", "engine": "e", **fields}]}
+def _run(**measures):
+    """A one-run summary, keyed the way ``summarize_dump`` keys it."""
+    return {"migration": measures}
+
+
+def _stream(tmp_path, name, downtime_s):
+    """A minimal telemetry export whose one measure is its downtime."""
+    records = [
+        {"type": "meta", "schema": SCHEMA},
+        {"type": "span", "id": 1, "name": "stop-and-copy", "start_s": 10.0,
+         "end_s": 10.0 + downtime_s, "args": {}},
+    ]
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return path
 
 
-def test_compare_identical_bench_runs_pass(tmp_path):
-    a = _bench(tmp_path, "a.json", downtime_s=1.0, wire_bytes=1e8)
-    b = _bench(tmp_path, "b.json", downtime_s=1.0, wire_bytes=1e8)
-    result = compare_runs(a, b)
+def test_compare_identical_bench_runs_pass():
+    a = _run(downtime_s=1.0, wire_bytes=1e8)
+    result = compare_summaries(a, dict(a))
     assert not result.regressed
     assert result.exit_code == 0
     assert "no regression" in result.render()
 
 
-def test_compare_detects_downtime_regression(tmp_path):
-    a = _bench(tmp_path, "a.json", downtime_s=1.0, wire_bytes=1e8)
-    b = _bench(tmp_path, "b.json", downtime_s=1.2, wire_bytes=1e8)
-    result = compare_runs(a, b)
+def test_compare_detects_downtime_regression():
+    a = _run(downtime_s=1.0, wire_bytes=1e8)
+    b = _run(downtime_s=1.2, wire_bytes=1e8)
+    result = compare_summaries(a, b)
     assert result.regressed
     assert result.exit_code == 1
     assert [d.measure for d in result.regressions] == ["downtime_s"]
     assert "REGRESSION" in result.render()
 
 
-def test_compare_improvement_never_regresses(tmp_path):
-    a = _bench(tmp_path, "a.json", downtime_s=1.0, wire_bytes=1e8)
-    b = _bench(tmp_path, "b.json", downtime_s=0.2, wire_bytes=5e7)
-    assert compare_runs(a, b).exit_code == 0
+def test_compare_improvement_never_regresses():
+    a = _run(downtime_s=1.0, wire_bytes=1e8)
+    b = _run(downtime_s=0.2, wire_bytes=5e7)
+    assert compare_summaries(a, b).exit_code == 0
 
 
-def test_compare_absolute_floor_swallows_noise(tmp_path):
+def test_compare_absolute_floor_swallows_noise():
     # +100 % downtime, but the absolute delta is far below the 1 ms floor.
-    a = _bench(tmp_path, "a.json", downtime_s=1e-5)
-    b = _bench(tmp_path, "b.json", downtime_s=2e-5)
-    assert compare_runs(a, b).exit_code == 0
+    assert compare_summaries(
+        _run(downtime_s=1e-5), _run(downtime_s=2e-5)
+    ).exit_code == 0
 
 
-def test_compare_wall_clock_is_informational(tmp_path):
-    a = _bench(tmp_path, "a.json", downtime_s=1.0, wall_s=10.0)
-    b = _bench(tmp_path, "b.json", downtime_s=1.0, wall_s=30.0)
-    result = compare_runs(a, b)
+def test_compare_wall_clock_is_informational():
+    a = _run(downtime_s=1.0, wall_s=10.0)
+    b = _run(downtime_s=1.0, wall_s=30.0)
+    result = compare_summaries(a, b)
     assert result.exit_code == 0
     wall = [d for d in result.deltas if d.measure == "wall_s"]
     assert wall and wall[0].threshold_pct is None
     # ... unless the caller explicitly gates it
-    gated = compare_runs(a, b, thresholds={"wall_s": 5.0})
+    gated = compare_summaries(a, b, thresholds={"wall_s": 5.0})
     assert gated.exit_code == 1
 
 
-def test_compare_threshold_override_relaxes_gate(tmp_path):
-    a = _bench(tmp_path, "a.json", downtime_s=1.0)
-    b = _bench(tmp_path, "b.json", downtime_s=1.2)
-    assert compare_runs(a, b, threshold_pct=50.0).exit_code == 0
+def test_compare_threshold_override_relaxes_gate():
+    a = _run(downtime_s=1.0)
+    b = _run(downtime_s=1.2)
+    assert compare_summaries(a, b, threshold_pct=50.0).exit_code == 0
 
 
-def test_compare_new_aborts_always_regress(tmp_path):
-    a = _bench(tmp_path, "a.json", aborts=0.0)
-    b = _bench(tmp_path, "b.json", aborts=1.0)
-    result = compare_runs(a, b)
+def test_compare_new_aborts_always_regress():
+    result = compare_summaries(_run(aborts=0.0), _run(aborts=1.0))
     assert result.regressed
     assert result.regressions[0].measure == "aborts"
-
-
-def test_summarize_bench_takes_medians_per_key():
-    payload = {"runs": [
-        {"workload": "w", "engine": "e", "downtime_s": 1.0},
-        {"workload": "w", "engine": "e", "downtime_s": 3.0},
-        {"workload": "w", "engine": "e", "downtime_s": 2.0},
-        {"workload": "w", "engine": "e", "telemetry": True, "downtime_s": 9.0},
-    ]}
-    summary = summarize_bench(payload)
-    assert summary["w/e"]["downtime_s"] == 2.0
-    assert summary["w/e/telemetry"]["downtime_s"] == 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +761,8 @@ def test_cli_compare_identical_exits_zero(healthy_run, capsys):
 
 
 def test_cli_compare_regression_exits_nonzero(tmp_path, capsys):
-    a = _bench(tmp_path, "a.json", downtime_s=1.0, wire_bytes=1e8)
-    b = _bench(tmp_path, "b.json", downtime_s=1.2, wire_bytes=1e8)
+    a = _stream(tmp_path, "a.jsonl", downtime_s=1.0)
+    b = _stream(tmp_path, "b.jsonl", downtime_s=1.2)
     assert cli_main(["compare", str(a), str(b)]) == 1
     assert "REGRESSION" in capsys.readouterr().out
     # a relaxed gate lets the same pair pass
@@ -780,10 +776,15 @@ def test_cli_wrong_arity_is_usage_error(healthy_run):
     assert cli_main(["compare", str(path)]) == 2
 
 
-def test_load_run_sniffs_both_formats(healthy_run, tmp_path):
+def test_load_run_refuses_a_bench_payload(healthy_run, tmp_path):
     _, _, path = healthy_run
     telemetry = load_run(path)
     assert "migration" in telemetry
     assert telemetry["migration"]["downtime_s"] > 0
-    bench = load_run(_bench(tmp_path, "b.json", downtime_s=1.0))
-    assert bench["w/e"]["downtime_s"] == 1.0
+    bench = tmp_path / "BENCH_OLD.json"
+    bench.write_text(json.dumps(
+        {"benchmark": "old", "runs": [{"workload": "w", "downtime_s": 1.0}]},
+        indent=2,
+    ))
+    with pytest.raises(TelemetryFormatError, match="not a telemetry stream"):
+        load_run(bench)

@@ -1,20 +1,20 @@
-"""The SQLite run archive: ingest, query, export parity and trend."""
+"""The SQLite run archive: ingest, query, export parity, refusals."""
 
 from __future__ import annotations
 
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
 
 from repro.core import MigrationExperiment
+from repro.errors import TelemetryFormatError
 from repro.telemetry.archive import RunArchive, run_id_for
 from repro.telemetry.attribution import attribute_report
 from repro.telemetry.export import read_jsonl, write_jsonl
 from repro.units import MiB
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_PR*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -84,79 +84,53 @@ def test_resolve_accepts_unique_prefixes(stream_file, tmp_path):
             archive.resolve("zzzzzz")
 
 
-# -- bench ingest + trend ----------------------------------------------------------------
+# -- bench payloads: refused, and old databases still answer -----------------------------
+
+#: the shape of the retired ``BENCH_*.json`` ratio-bench payloads
+BENCH_PAYLOAD = {
+    "benchmark": "pr3-telemetry-overhead",
+    "overhead_pct": 1.18,
+    "runs": [{"workload": "derby", "engine": "xen", "wall_s": 0.5}],
+}
 
 
-def test_checked_in_bench_files_exist():
-    """PR3..PR8 plus this PR's PR9 payload must be in the repo root."""
-    names = {p.name for p in BENCH_FILES}
-    for n in range(3, 10):
-        assert f"BENCH_PR{n}.json" in names
+def _bench_file(tmp_path) -> Path:
+    path = tmp_path / "BENCH_OLD.json"
+    path.write_text(json.dumps(BENCH_PAYLOAD, indent=2) + "\n")
+    return path
 
 
-def test_trend_reproduces_the_checked_in_bench_trajectory(tmp_path):
+def test_ingest_refuses_a_bench_payload(tmp_path):
     with RunArchive(tmp_path / "a.db") as archive:
-        for path in BENCH_FILES:
-            run_id, created = archive.ingest(path)
-            assert created
-        trend = archive.trend()
-    names = [entry["benchmark"] for entry in trend["trajectory"]]
-    # PR order, not ingest or alphabetical order.
-    assert names == sorted(names, key=lambda n: int(n.split("pr")[1].split("-")[0]))
-    assert names[0] == "pr3-telemetry-overhead"
-    by_name = {e["benchmark"]: e for e in trend["trajectory"]}
-    pr3 = json.loads((REPO_ROOT / "BENCH_PR3.json").read_text())
-    assert by_name["pr3-telemetry-overhead"]["gates"]["overhead_pct"] == pytest.approx(
-        pr3["overhead_pct"]
+        with pytest.raises(TelemetryFormatError, match="not a telemetry stream"):
+            archive.ingest(_bench_file(tmp_path))
+        assert archive.runs() == []
+
+
+def test_database_with_bench_rows_still_answers(stream_file, tmp_path):
+    """A database written when the archive also indexed bench payloads
+    keeps its bench tables and runs; it opens, and its telemetry runs
+    answer exactly as in a fresh one."""
+    db = tmp_path / "old.db"
+    with RunArchive(db) as archive:
+        telemetry_id, _ = archive.ingest(stream_file)
+        want = archive.query(telemetry_id)
+    conn = sqlite3.connect(db)
+    conn.executescript(
+        "CREATE TABLE bench_runs (run_id TEXT, row_no INTEGER, workload TEXT,"
+        " engine TEXT, measure TEXT, value REAL);"
+        "CREATE TABLE bench_gates (run_id TEXT, measure TEXT, value REAL);"
+        "INSERT INTO runs (run_id, kind, name, path, n_records)"
+        " VALUES ('b0b0b0b0b0b0', 'bench', 'pr3-telemetry-overhead',"
+        " 'BENCH_OLD.json', 1);"
+        "INSERT INTO bench_gates VALUES ('b0b0b0b0b0b0', 'overhead_pct', 1.18);"
     )
-    # One ingest per benchmark: nothing to regress against.
-    assert trend["regressions"] == []
-
-
-def test_trend_flags_a_doctored_regression(tmp_path):
-    src = json.loads((REPO_ROOT / "BENCH_PR3.json").read_text())
-    worse = dict(src)
-    worse["overhead_pct"] = src["overhead_pct"] * 2 + 10
-    worse_path = tmp_path / "BENCH_PR3_worse.json"
-    worse_path.write_text(json.dumps(worse, indent=2))
-    with RunArchive(tmp_path / "a.db") as archive:
-        archive.ingest(REPO_ROOT / "BENCH_PR3.json")
-        archive.ingest(worse_path)
-        trend = archive.trend()
-    flagged = [r for r in trend["regressions"] if r["measure"] == "overhead_pct"]
-    assert len(flagged) == 1
-    assert flagged[0]["benchmark"] == "pr3-telemetry-overhead"
-    assert flagged[0]["after"] > flagged[0]["before"]
-
-
-def test_trend_ignores_improvements_and_cross_benchmark_numbers(tmp_path):
-    src = json.loads((REPO_ROOT / "BENCH_PR3.json").read_text())
-    better = dict(src)
-    better["overhead_pct"] = src["overhead_pct"] * 0.5
-    better_path = tmp_path / "BENCH_PR3_better.json"
-    better_path.write_text(json.dumps(better, indent=2))
-    with RunArchive(tmp_path / "a.db") as archive:
-        archive.ingest(REPO_ROOT / "BENCH_PR3.json")
-        archive.ingest(better_path)
-        # A different benchmark with wildly different numbers must not
-        # be compared against PR3's.
-        archive.ingest(REPO_ROOT / "BENCH_PR7.json")
-        trend = archive.trend()
-    assert trend["regressions"] == []
-
-
-def test_sweep_returns_per_cell_bench_measures(tmp_path):
-    with RunArchive(tmp_path / "a.db") as archive:
-        archive.ingest(REPO_ROOT / "BENCH_PR8.json")
-        rows = archive.sweep("pr8-attribution-overhead")
-    assert rows
-    derby = [
-        r for r in rows
-        if r["workload"] == "derby" and r["engine"] == "xen"
-        and r["measure"] == "wire_bytes"
-    ]
-    # One row per sweep round for that cell, all positive.
-    assert derby and all(r["value"] > 0 for r in derby)
+    conn.commit()
+    conn.close()
+    with RunArchive(db) as archive:
+        assert [r["kind"] for r in archive.runs()] == ["telemetry", "bench"]
+        assert archive.query(telemetry_id) == want
+        assert archive.dump(telemetry_id) == read_jsonl(stream_file)
 
 
 # -- CLI integration ---------------------------------------------------------------------
@@ -199,25 +173,19 @@ def test_compare_cli_accepts_archived_runs(stream_file, tmp_path, capsys):
     assert code == 0
 
 
-def test_archive_cli_trend_exit_codes(tmp_path, capsys):
+def test_cli_refuses_bench_payloads_and_the_trend_action(tmp_path, capsys):
+    """``compare`` and ``archive ingest`` refuse a bench payload with
+    the typed exit code 2, and ``archive trend`` is no action."""
     from repro.cli import main
 
+    bench = str(_bench_file(tmp_path))
     db = str(tmp_path / "cli.db")
-    main(["archive", "ingest", str(REPO_ROOT / "BENCH_PR3.json"), "--db", db])
-    capsys.readouterr()
-    assert main(["archive", "trend", "--db", db]) == 0
-    out = capsys.readouterr().out
-    assert "pr3-telemetry-overhead" in out
-    assert "no regressions" in out
-
-    src = json.loads((REPO_ROOT / "BENCH_PR3.json").read_text())
-    src["overhead_pct"] = src["overhead_pct"] * 3 + 10
-    worse = tmp_path / "worse.json"
-    worse.write_text(json.dumps(src))
-    main(["archive", "ingest", str(worse), "--db", db])
-    capsys.readouterr()
-    assert main(["archive", "trend", "--db", db]) == 1
-    assert "regression(s) flagged" in capsys.readouterr().out
+    assert main(["archive", "ingest", bench, "--db", db]) == 2
+    assert "not a telemetry stream" in capsys.readouterr().err
+    assert main(["compare", bench, bench]) == 2
+    assert "not a telemetry stream" in capsys.readouterr().err
+    assert main(["archive", "trend", "--db", db]) == 2
+    assert "unknown archive action 'trend'" in capsys.readouterr().err
 
 
 def test_archive_cli_rejects_missing_action(capsys):

@@ -315,6 +315,34 @@ def test_experiment_checkpoint_restore_telemetry(tmp_path):
     assert "checkpoint" in names
 
 
+def test_counter_handles_survive_a_checkpoint_round_trip(tmp_path):
+    """The link and the dirty log count through counter handles they
+    resolved before the crash; in the resumed run those counts must
+    still land in the run's own registry, equal to an uninterrupted
+    run's."""
+
+    def counted(probe) -> dict:
+        return {
+            (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
+            for s in probe.metrics.to_dict()["series"]
+            if s["name"].startswith(("net.", "dirty."))
+        }
+
+    exp = _experiment()
+    exp.telemetry = True
+    want = counted(ExperimentRun(exp).run().probe)
+    assert want[("net.wire_bytes", ())] > 0
+    crashed = _experiment()
+    crashed.telemetry = True
+    cfg = CheckpointConfig(directory=str(tmp_path), every_s=2.0,
+                           crash_at_tick=1500, max_overhead=None)
+    with pytest.raises(SimulatedCrash):
+        ExperimentRun(crashed).run(Checkpointer(cfg))
+    resumed = resume(str(tmp_path))
+    resumed.controller.run(resumed.checkpointer(every_s=2.0, max_overhead=None))
+    assert counted(resumed.controller.vm.probe) == want
+
+
 def test_resume_refuses_wrong_config(tmp_path):
     exp = _experiment(seed=7)
     cfg = CheckpointConfig(directory=str(tmp_path), every_s=2.0,
