@@ -31,12 +31,11 @@ pinned or compared bit for bit by the test suite (the kernel
 equivalence, checkpoint, attribution, live and service suites, and
 ``tests/test_outcome_pins.py``).  Run it from the repository root::
 
-    PYTHONPATH=src python benchmarks/overheads.py [--rounds N]
+    PYTHONPATH=src python benchmarks/overheads.py
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import statistics
@@ -63,6 +62,8 @@ VM = {"mem_bytes": MiB(512), "max_young_bytes": MiB(128)}
 FIG05_WORKLOADS = ("derby", "compiler", "crypto", "scimark", "compress")
 FIG05_DURATION_S = 240.0
 FLEET = 64
+#: measured rounds; each gate takes the median of its per-round ratio
+ROUNDS = 5
 #: the checkpointed leg's warm-up.  A run always writes its baseline
 #: checkpoint, a fixed cost of some 10 ms, so the leg keeps the 30 s
 #: warm-up its gate was set on: after the default 5 s one the baseline
@@ -248,13 +249,7 @@ def one_round(out: Path, configs: list[SessionConfig], i: int) -> dict[str, floa
     return walls
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--rounds", type=int, default=5,
-        help="measured rounds; each gate takes the median (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     configs = fleet_configs()
     rounds = []
     with tempfile.TemporaryDirectory(prefix="overheads-") as tmp:
@@ -265,9 +260,9 @@ def main(argv: list[str] | None = None) -> int:
             for engine in ENGINES:
                 _plain(workload, engine, Path(tmp))
         _multiplexed(configs)
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             rounds.append(one_round(Path(tmp), configs, i))
-            print(f"round {i + 1}/{args.rounds}: " + ", ".join(
+            print(f"round {i + 1}/{ROUNDS}: " + ", ".join(
                 f"{leg} {wall:.2f}s" for leg, wall in rounds[-1].items()
             ), file=sys.stderr)
 

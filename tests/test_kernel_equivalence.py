@@ -19,8 +19,6 @@ from repro.core import MigrationExperiment
 from repro.core.builders import build_java_vm
 from repro.core.supervisor import supervised_migrate
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.fig05 import profile_workload
-from repro.experiments.table2 import observe
 from repro.faults import FaultPlan
 from repro.sim import Actor, Engine, KERNEL_ENV_VAR, make_engine, resolve_kernel
 from repro.telemetry.attribution import assert_conserved
@@ -279,17 +277,6 @@ def test_pure_workload_state_is_bit_identical(workload, seed):
         vm_fixed.domain.read_pages(all_pfns), vm_event.domain.read_pages(all_pfns)
     )
     assert vm_fixed.analyzer.samples == vm_event.analyzer.samples
-
-
-@pytest.mark.parametrize("workload", ["derby", "scimark"])
-def test_fig05_and_table2_rows_are_bit_identical(workload, monkeypatch):
-    """The quiet experiments the event kernel exists for: a Figure-5
-    heap profile and a Table-2 warm-up read the same under both."""
-    rows = {}
-    for kernel in ("fixed", "event"):
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
-        rows[kernel] = (profile_workload(workload, duration_s=240.0), observe(workload))
-    assert rows["fixed"] == rows["event"]
 
 
 # -- migration equivalence (the satellite sweep) ------------------------------------------

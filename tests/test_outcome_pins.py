@@ -8,7 +8,8 @@ recorded before the pump's windowed scan and the bisected page-table
 walk existed.  The supervised Figure-10 sweep cells and the quiet
 Figure-5/Table-2 rows are pinned the same way: their simulated
 downtime, total time, wire and retransmitted bytes are deterministic,
-so they are held exactly rather than within a tolerance.  A legitimate
+so they are held exactly rather than within a tolerance, and the quiet
+rows are held to one digest under both kernels.  A legitimate
 change to the simulated model updates these digests in the same commit,
 and says why.
 """
@@ -130,7 +131,8 @@ def test_supervised_sweep_cell_matches_pin(cell):
 
 
 #: sha256 over the Figure-5 heap-profile rows (five workloads, 240 s)
-#: and the Table-2 warm-up rows (three workloads), event kernel
+#: and the Table-2 warm-up rows (three workloads); the same under the
+#: fixed and the event kernel
 QUIET_ROWS_PIN = "4d8154d56fbf2b681818cf7ca45e7814117be6063269ecc4b50fa3dc09591069"
 
 
@@ -146,6 +148,7 @@ def quiet_rows_digest() -> str:
     return _sha256({"fig05": profiles, "table2": settings})
 
 
-def test_quiet_rows_match_pin(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "event")
+@pytest.mark.parametrize("kernel", ["fixed", "event"])
+def test_quiet_rows_match_pin(kernel, monkeypatch):
+    monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
     assert quiet_rows_digest() == QUIET_ROWS_PIN
