@@ -25,6 +25,7 @@ and the payload digests must all match, otherwise
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -47,8 +48,12 @@ CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 #: (its runtime is ``runtime``, and ``_enforced_in_flight`` is gone).
 #: v4: the guest's ``FrameAllocator`` holds numpy arrays (a rank stack
 #: and an allocated mask) instead of a list and a set, and a
-#: ``HeapLayout`` stores its space sizes
-STATE_VERSION = 4
+#: ``HeapLayout`` stores its space sizes.  v5: derived arrays stay out
+#: of the pickle -- a ``FrameAllocator`` keeps its pool as given and the
+#: live part of its stack, a ``PageTable`` keeps a run as its first PFN
+#: and length, and a ``Domain`` and the ``Engine`` rebind their derived
+#: fields on restore
+STATE_VERSION = 5
 
 _CKPT_RE = re.compile(r"^ckpt-(\d+)$")
 
@@ -96,6 +101,14 @@ class CheckpointArchive:
         driver holding the engine), verifying the state digest."""
         import pickle
 
+        # Refused before unpickling: an older layout may not even load.
+        # Archives older than v5 carry no version in their manifest.
+        version = self.manifest.get("state_version", "4 or older")
+        if version != STATE_VERSION:
+            raise CheckpointSchemaError(
+                f"checkpoint state v{version} cannot be applied to "
+                f"v{STATE_VERSION}"
+            )
         blob = (self.path / "state.pkl").read_bytes()
         want = self.manifest["digests"]["state.pkl"]
         got = _sha256(blob)
@@ -136,7 +149,6 @@ class CheckpointArchive:
 
 def _dump_root(root: object) -> bytes:
     """Pickle ``(STATE_VERSION, root)`` through one pickler."""
-    import io
     import pickle
 
     buf = io.BytesIO()
@@ -178,6 +190,7 @@ def write_checkpoint(
         "tick": tick,
         "now_s": engine.now,
         "root": type(target).__name__,
+        "state_version": STATE_VERSION,
         "config_hash": cfg_hash,
         "journal_offset": int(journal_offset),
         "engine": engine.describe(),
@@ -195,12 +208,12 @@ def write_checkpoint(
         if arrays:
             # Uncompressed on purpose: the mirror is ~1 MiB and pruning
             # keeps two archives, while compression costs 5x the wall
-            # time of the write on the checkpoint hot path.
-            with open(tmp / "arrays.npz", "wb") as fh:
-                np.savez(fh, **arrays)
-            manifest["digests"]["arrays.npz"] = _sha256(
-                (tmp / "arrays.npz").read_bytes()
-            )
+            # time of the write on the checkpoint hot path.  Built in
+            # memory, so it is hashed without reading the file back.
+            npz = io.BytesIO()
+            np.savez(npz, **arrays)
+            (tmp / "arrays.npz").write_bytes(npz.getbuffer())
+            manifest["digests"]["arrays.npz"] = _sha256(npz.getbuffer())
         (tmp / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

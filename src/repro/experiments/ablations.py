@@ -234,7 +234,7 @@ def straggler_timeout(timeout_s: float = 0.5, seed: int = 20150421) -> Straggler
     # The non-cooperative app: subscribes, registers memory, stays mute.
     mute = vm.kernel.spawn("mute-app")
     mute_area = mute.mmap(MiB(32))
-    mute.write_range(mute_area)
+    mute.write_range(mute_area.start, mute_area.end)
     vm.kernel.netlink.subscribe(mute.pid, lambda message: None)
     vm.lkm.register_app(mute.pid, mute)
     vm.register(engine)

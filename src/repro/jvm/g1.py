@@ -167,7 +167,7 @@ class G1Heap:
 
     def _fill(self, region: Region, nbytes: int) -> None:
         start = self.region_range(region).start + region.used
-        self.process.write_range(VARange(start, start + nbytes))
+        self.process.write_range(start, start + nbytes)
         region.used += nbytes
 
     # -- collection ---------------------------------------------------------------------

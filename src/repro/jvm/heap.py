@@ -165,9 +165,8 @@ class GenerationalHeap:
         take = min(nbytes, room)
         if take <= 0:
             return 0
-        eden = self.layout.eden
-        span = VARange(eden.start + self.eden_used, eden.start + self.eden_used + take)
-        self.process.write_range(span)
+        start = self.layout.eden.start + self.eden_used
+        self.process.write_range(start, start + take)
         self.eden_used += take
         self.counters.allocated_bytes += take
         return take
@@ -183,11 +182,14 @@ class GenerationalHeap:
         total = nbytes * ticks
         if total > self.eden_capacity - self.eden_used:
             raise HeapError("allocate_run would overflow Eden")
-        eden = self.layout.eden
-        starts = self.eden_used + nbytes * np.arange(ticks, dtype=np.int64)
-        self.process.write_intervals(
-            eden.start, starts, np.full(ticks, nbytes, dtype=np.int64)
-        )
+        # The allocations run back to back, so each page of their span
+        # is written once, plus once more for every boundary between two
+        # allocations that falls inside it (both neighbours touch it).
+        start = self.layout.eden.start + self.eden_used
+        self.process.write_range(start, start + total)
+        bounds = start + nbytes * np.arange(1, ticks, dtype=np.int64)
+        shared = bounds[bounds % PAGE_SIZE != 0]
+        self.process.write_intervals(0, shared, np.ones(shared.size, dtype=np.int64))
         self.eden_used += total
         self.counters.allocated_bytes += total
 
@@ -213,10 +215,10 @@ class GenerationalHeap:
         # Copy survivors into To, promote the rest into Old.
         to_space = self.layout.to_space
         if survivors > 0:
-            self.process.write_range(VARange(to_space.start, to_space.start + survivors))
+            self.process.write_range(to_space.start, to_space.start + survivors)
         if promoted > 0:
             old_start = self.layout.old_region.start + self.old_used
-            self.process.write_range(VARange(old_start, old_start + promoted))
+            self.process.write_range(old_start, old_start + promoted)
             self.old_used += promoted
 
         self.layout.flip_survivors()
@@ -249,7 +251,7 @@ class GenerationalHeap:
         # Compaction rewrites the surviving Old data.
         if after > 0:
             start = self.layout.old_region.start
-            self.process.write_range(VARange(start, start + after))
+            self.process.write_range(start, start + after)
         self.old_used = after
         stats = FullGcStats(before, after, duration)
         self.counters.full_gcs += 1
@@ -269,7 +271,7 @@ class GenerationalHeap:
         start = self.layout.old_region.start + self.old_used
         grow = nbytes - self.old_used
         if grow > 0:
-            self.process.write_range(VARange(start, start + grow))
+            self.process.write_range(start, start + grow)
             self.old_used = nbytes
 
     def seed_survivors(self, nbytes: int) -> None:
@@ -278,7 +280,7 @@ class GenerationalHeap:
             raise HeapError("seeded survivors exceed the survivor space")
         from_space = self.layout.from_space
         if nbytes > 0:
-            self.process.write_range(VARange(from_space.start, from_space.start + nbytes))
+            self.process.write_range(from_space.start, from_space.start + nbytes)
         self.from_used = nbytes
 
     # -- resizing ----------------------------------------------------------------------------
@@ -310,9 +312,7 @@ class GenerationalHeap:
         self.layout = new_layout
         if self.from_used > 0:
             from_space = new_layout.from_space
-            self.process.write_range(
-                VARange(from_space.start, from_space.start + self.from_used)
-            )
+            self.process.write_range(from_space.start, from_space.start + self.from_used)
 
     def _resize_young_after_gc(self) -> None:
         """Adaptive sizing: grow toward the target, doubling per GC."""

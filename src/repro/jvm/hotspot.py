@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.guest.process import Process
 from repro.jvm.gc_model import MinorGcStats
 from repro.jvm.heap import GenerationalHeap
-from repro.mem.address import VARange
 from repro.sim.actor import Actor
 from repro.telemetry.probe import NULL_PROBE
 from repro.units import MiB
@@ -255,35 +254,30 @@ class HotSpotJVM(Actor):
         self._old_cursor = int((self._old_cursor + n * ticks) % ws)
 
     def _write_misc_batch(self, nbytes: float, ticks: int) -> None:
-        size = self.misc_region.length
-        starts: list[int] = []
-        lens: list[int] = []
+        # Only the float carry is replayed tick by tick (float addition
+        # is not associative); the cursor walk is integer arithmetic.
         carry = self._misc_carry
-        cursor = self._misc_cursor
+        ns: list[int] = []
         for _ in range(ticks):
             carry += nbytes
             n = int(carry)
-            if n <= 0:
-                continue
-            carry -= n
-            n = min(n, size)
-            off = cursor % size
-            end = min(off + n, size)
-            starts.append(off)
-            lens.append(end - off)
-            wrapped = n - (end - off)
-            if wrapped > 0:
-                starts.append(0)
-                lens.append(wrapped)
-            cursor = (cursor + n) % size
+            if n > 0:
+                carry -= n
+                ns.append(n)
         self._misc_carry = carry
-        self._misc_cursor = cursor
-        if starts:
-            self.process.write_intervals(
-                self.misc_region.start,
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(lens, dtype=np.int64),
-            )
+        if not ns:
+            return
+        size = self.misc_region.length
+        n = np.minimum(np.asarray(ns, dtype=np.int64), size)
+        moved = np.cumsum(n)
+        off = (self._misc_cursor + moved - n) % size
+        end = np.minimum(off + n, size)
+        wrapped = n - (end - off)
+        has_wrap = wrapped > 0
+        starts = np.concatenate([off, np.zeros(int(has_wrap.sum()), dtype=np.int64)])
+        lens = np.concatenate([end - off, wrapped[has_wrap]])
+        self.process.write_intervals(self.misc_region.start, starts, lens)
+        self._misc_cursor = int((self._misc_cursor + int(moved[-1])) % size)
 
     # -- phases ---------------------------------------------------------------------------
 
@@ -372,10 +366,10 @@ class HotSpotJVM(Actor):
         start = self.heap.layout.old_region.start
         off = self._old_cursor % ws
         end = min(off + n, ws)
-        self.process.write_range(VARange(start + off, start + end))
+        self.process.write_range(start + off, start + end)
         wrapped = n - (end - off)
         if wrapped > 0:
-            self.process.write_range(VARange(start, start + wrapped))
+            self.process.write_range(start, start + wrapped)
         self._old_cursor = (self._old_cursor + n) % ws
 
     def _write_misc(self, nbytes: float) -> None:
@@ -387,14 +381,13 @@ class HotSpotJVM(Actor):
             return
         self._misc_carry -= n
         n = min(n, size)
+        base = self.misc_region.start
         off = self._misc_cursor % size
         end = min(off + n, size)
-        self.process.write_range(VARange(self.misc_region.start + off, self.misc_region.start + end))
+        self.process.write_range(base + off, base + end)
         wrapped = n - (end - off)
         if wrapped > 0:
-            self.process.write_range(
-                VARange(self.misc_region.start, self.misc_region.start + wrapped)
-            )
+            self.process.write_range(base, base + wrapped)
         self._misc_cursor = (self._misc_cursor + n) % size
 
     def _domain_paused(self) -> bool:

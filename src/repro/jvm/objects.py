@@ -99,7 +99,7 @@ class ObjectHeap:
             dies_after_gc=self.gc_epoch + lifetime_gcs,
         )
         self._eden_top += size
-        self.process.write_range(obj.extent)
+        self.process.write_range(obj.extent.start, obj.extent.end)
         self.eden_objects.append(obj)
         return obj
 
@@ -130,7 +130,7 @@ class ObjectHeap:
             if not tenure and to_top + obj.size <= to_space.end:
                 obj.address = to_top
                 to_top += obj.size
-                self.process.write_range(obj.extent)  # the copy
+                self.process.write_range(obj.extent.start, obj.extent.end)  # the copy
                 survivors.append(obj)
             else:
                 # Tenured or survivor-space overflow: promote.
@@ -139,7 +139,7 @@ class ObjectHeap:
                 obj.address = self._old_top
                 obj.promoted = True
                 self._old_top += obj.size
-                self.process.write_range(obj.extent)
+                self.process.write_range(obj.extent.start, obj.extent.end)
                 promoted.append(obj)
 
         self.gc_epoch += 1

@@ -11,7 +11,8 @@ The pool is held as its PFNs in ascending order; a frame is named by
 its *rank* in that array.  The free list is an int64 stack of ranks
 and one boolean mask per rank says which frames are allocated, so
 allocation and free are array slices and a bad free is refused before
-anything changes.
+anything changes.  A pickle keeps only the pool as given (a ``range``
+stays a ``range``) and the live part of the stack; the rest is derived.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ class FrameAllocator:
     """LIFO free-list allocator over a fixed set of page frames."""
 
     def __init__(self, pfns: np.ndarray | range) -> None:
-        if isinstance(pfns, range):
-            free = np.arange(pfns.start, pfns.stop, pfns.step or 1, dtype=np.int64)
-        else:
-            free = np.asarray(pfns, dtype=np.int64)
+        #: the pool as given, when it is a ``range`` (what a pickle keeps)
+        self._pool_range = pfns if isinstance(pfns, range) else None
+        free = _as_array(pfns)
         order = np.argsort(free, kind="stable")
         #: the pool's PFNs, ascending; a frame's index here is its rank
         self._pool = free[order]
@@ -43,6 +43,21 @@ class FrameAllocator:
         self._top = free.size  # free frames are self._stack[:self._top]
         self._allocated = np.zeros(free.size, dtype=bool)
         self.total_frames = free.size
+
+    def __getstate__(self) -> dict:
+        pool = self._pool if self._pool_range is None else self._pool_range
+        return {"pool": pool, "free": self._stack[: self._top]}
+
+    def __setstate__(self, state: dict) -> None:
+        pool, free = state["pool"], state["free"]
+        self._pool_range = pool if isinstance(pool, range) else None
+        self._pool = np.sort(_as_array(pool))
+        self.total_frames = self._pool.size
+        self._stack = np.empty(self.total_frames, dtype=np.int64)
+        self._top = free.size
+        self._stack[: self._top] = free
+        self._allocated = np.ones(self.total_frames, dtype=bool)
+        self._allocated[free] = False
 
     @property
     def free_frames(self) -> int:
@@ -101,3 +116,9 @@ class FrameAllocator:
     def free_pfns(self) -> np.ndarray:
         """All currently-free PFNs, ascending (for free-page-skip baselines)."""
         return self._pool[~self._allocated]
+
+
+def _as_array(pfns: np.ndarray | range) -> np.ndarray:
+    if isinstance(pfns, range):
+        return np.arange(pfns.start, pfns.stop, pfns.step or 1, dtype=np.int64)
+    return np.asarray(pfns, dtype=np.int64)

@@ -51,12 +51,19 @@ class PageTable:
         self._runs: list[int | None] = []
 
     def __getstate__(self) -> dict:
-        # ``_starts`` and ``_runs`` are derived: leave them out so the
-        # pickled form stays ``_vmas`` alone.
-        return {"_vmas": self._vmas}
+        # ``_starts`` and ``_runs`` are derived, and a run's PFNs are its
+        # first PFN and its length: a run is pickled as those two ints.
+        return {"_vmas": [
+            (vma.start_vpn, vma.pfns) if run is None else (vma.start_vpn, run, len(vma.pfns))
+            for vma, run in zip(self._vmas, self._runs)
+        ]}
 
     def __setstate__(self, state: dict) -> None:
-        self._vmas = state["_vmas"]
+        self._vmas = [
+            _Vma(entry[0], entry[1]) if len(entry) == 2
+            else _Vma(entry[0], np.arange(entry[1], entry[1] + entry[2], dtype=np.int64))
+            for entry in state["_vmas"]
+        ]
         self._starts = [vma.start_vpn for vma in self._vmas]
         self._runs = [_run_base(vma.pfns) for vma in self._vmas]
 

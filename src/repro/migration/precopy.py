@@ -557,6 +557,10 @@ class PrecopyMigrator(Actor):
         dirty_log = self.domain.dirty_log
         dest = self.dest_domain
         assert dest is not None
+        # Without an overriding transfer hook every page is allowed, so
+        # no all-True mask is built and nothing is skipped by bitmap.
+        hooked = type(self)._transfer_allowed is not PrecopyMigrator._transfer_allowed
+        allowed = None
         while self._cursor < len(self._pending) and self._budget >= wire_cost:
             limit = int(self._budget // wire_cost)
             stop = min(self._cursor + _CHUNK, len(self._pending))
@@ -564,26 +568,35 @@ class PrecopyMigrator(Actor):
             while True:
                 end = min(self._cursor + width, stop)
                 chunk = self._pending[self._cursor : end]
-                allowed = self._transfer_allowed(chunk)
                 re_dirtied = dirty_log.dirty_mask(chunk)
-                send_mask = allowed & ~re_dirtied
-                cum = np.cumsum(send_mask)
-                if end == stop or cum[-1] > limit:
+                if hooked:
+                    allowed = self._transfer_allowed(chunk)
+                    send_mask = allowed & ~re_dirtied
+                else:
+                    send_mask = ~re_dirtied
+                sendable = send_mask.nonzero()[0]
+                if end == stop or sendable.size > limit:
                     break
                 width *= 4
-            if cum.size and cum[-1] > limit:
-                # Budget ends inside this chunk: take the longest prefix
-                # whose send count fits.
-                prefix_len = int(np.searchsorted(cum, limit, side="right"))
+            if sendable.size > limit:
+                # Budget ends inside this chunk: cut just before the
+                # (limit+1)-th sendable page, the longest prefix whose
+                # send count fits.
+                prefix_len = int(sendable[limit])
                 chunk = chunk[:prefix_len]
-                allowed = allowed[:prefix_len]
                 re_dirtied = re_dirtied[:prefix_len]
                 send_mask = send_mask[:prefix_len]
+                if hooked:
+                    allowed = allowed[:prefix_len]
             if chunk.size == 0:
                 break
             to_send = chunk[send_mask]
-            skipped_bitmap = chunk[~allowed]
-            skipped_dirty = chunk[allowed & re_dirtied]
+            if hooked:
+                skipped_bitmap = chunk[~allowed]
+                skipped_dirty = chunk[allowed & re_dirtied]
+            else:
+                skipped_bitmap = chunk[:0]
+                skipped_dirty = chunk[re_dirtied]
             if to_send.size:
                 dest.install_pages(to_send, self.domain.read_pages(to_send))
                 payload = self._payload_for(to_send)
@@ -603,9 +616,8 @@ class PrecopyMigrator(Actor):
                     # compressor alike.
                     self.report.account_saved(full - payload, "compression")
                     if self.probe.enabled:
-                        self.probe.count(
-                            "net.saved_bytes", full - payload,
-                            category="compression",
+                        self.probe.counters["net.saved_bytes", "compression"].value += (
+                            full - payload
                         )
                 self._iter_sent += int(to_send.size)
                 self.report.cpu_seconds += self._cpu_cost_sent(int(to_send.size))
@@ -616,26 +628,14 @@ class PrecopyMigrator(Actor):
                 # on the wire right now (pre-loss: the skipped page
                 # would also have skipped its retransmissions).
                 page_cost = int(self._page_wire_cost())
-                if skipped_bitmap.size:
-                    self.report.account_saved(
-                        int(skipped_bitmap.size) * page_cost, "skip_bitmap"
-                    )
-                    if self.probe.enabled:
-                        self.probe.count(
-                            "net.saved_bytes",
-                            int(skipped_bitmap.size) * page_cost,
-                            category="skip_bitmap",
-                        )
-                if skipped_dirty.size:
-                    self.report.account_saved(
-                        int(skipped_dirty.size) * page_cost, "skip_redirty"
-                    )
-                    if self.probe.enabled:
-                        self.probe.count(
-                            "net.saved_bytes",
-                            int(skipped_dirty.size) * page_cost,
-                            category="skip_redirty",
-                        )
+                for skipped, category in (
+                    (skipped_bitmap, "skip_bitmap"), (skipped_dirty, "skip_redirty")
+                ):
+                    if skipped.size:
+                        saved = int(skipped.size) * page_cost
+                        self.report.account_saved(saved, category)
+                        if self.probe.enabled:
+                            self.probe.counters["net.saved_bytes", category].value += saved
             self._iter_skip_bitmap += int(skipped_bitmap.size)
             self._iter_skip_dirty += int(skipped_dirty.size)
             self.report.cpu_seconds += chunk.size * CPU_S_PER_PAGE_SCANNED

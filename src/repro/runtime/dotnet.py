@@ -61,7 +61,7 @@ class EphemeralHeap:
         take = min(int(nbytes), room)
         if take <= 0:
             return 0
-        self.process.write_range(VARange(self.alloc_top, self.alloc_top + take))
+        self.process.write_range(self.alloc_top, self.alloc_top + take)
         self.alloc_top += take
         return take
 
@@ -84,11 +84,11 @@ class EphemeralHeap:
             raise HeapError("gen2 exhausted")
         if survivors:
             self.process.write_range(
-                VARange(self.ephemeral.start, self.ephemeral.start + survivors)
+                self.ephemeral.start, self.ephemeral.start + survivors
             )
         if promoted:
             start = self.gen2.start + self.gen2_used
-            self.process.write_range(VARange(start, start + promoted))
+            self.process.write_range(start, start + promoted)
             self.gen2_used += promoted
         self.survivor_bytes = survivors
         self.alloc_top = self.ephemeral.start + survivors

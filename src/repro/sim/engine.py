@@ -70,6 +70,9 @@ class Engine:
         self.clock = SimClock(dt)
         self.kernel = kernel
         self._actors: list[tuple[int, int, Actor]] = []
+        #: the actors of ``_actors`` in step order; derived, rebuilt on
+        #: every add/remove and on restore, and kept out of the pickle
+        self._roster: tuple[Actor, ...] = ()
         self._seq = 0
         self._max_steps = max_steps
         #: heap of (time, seq, callback-or-None) wake entries
@@ -77,6 +80,15 @@ class Engine:
         self._timer_seq = 0
         #: number of multi-tick leaps taken (observability / tests)
         self.leaps = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_roster"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._roster = tuple(entry[2] for entry in self._actors)
 
     @property
     def now(self) -> float:
@@ -92,13 +104,15 @@ class Engine:
         self._actors.append((actor.priority, self._seq, actor))
         self._seq += 1
         self._actors.sort(key=lambda entry: (entry[0], entry[1]))
+        self._roster = tuple(entry[2] for entry in self._actors)
         return actor
 
     def remove(self, actor: Actor) -> None:
         self._actors = [e for e in self._actors if e[2] is not actor]
+        self._roster = tuple(entry[2] for entry in self._actors)
 
     def actors(self) -> Iterable[Actor]:
-        return [entry[2] for entry in self._actors]
+        return list(self._roster)
 
     # -- wake-queue -----------------------------------------------------------------
 
@@ -138,13 +152,15 @@ class Engine:
 
     def step(self) -> float:
         """Advance the clock one step and step every actor once."""
-        now = self.clock.advance()
-        dt = self.clock.dt
+        clock = self.clock
+        now = clock.advance()
+        dt = clock.dt
         if self._timers:
             self._fire_timers(now)
-        # Snapshot: an actor may add/remove actors mid-step (a
-        # supervisor respawning a migrator); iterate this step's roster.
-        for _, _, actor in list(self._actors):
+        # An actor may add/remove actors mid-step (a supervisor
+        # respawning a migrator); that builds a new roster tuple, so
+        # this loop keeps iterating this step's roster.
+        for actor in self._roster:
             actor.step(now, dt)
         return now
 
@@ -154,7 +170,7 @@ class Engine:
         target = bound
         if self._timers and self._timers[0][0] < target:
             target = self._timers[0][0]
-        for _, _, actor in self._actors:
+        for actor in self._roster:
             h = actor.next_event(now)
             if h is None:
                 return None
@@ -179,7 +195,7 @@ class Engine:
                     start_tick = self.clock.ticks
                     dt = self.clock.dt
                     self.clock.advance_ticks(quiet)
-                    for _, _, actor in list(self._actors):
+                    for actor in self._roster:
                         actor.step_many(start_tick, quiet, dt)
                     self.leaps += 1
                     self.step()

@@ -76,14 +76,10 @@ class CacheApp(Participant, Actor):
             ws = self.hot_bytes
             off = self._cursor % ws
             end = min(off + n, ws)
-            self.process.write_range(
-                VARange(self.hot_region.start + off, self.hot_region.start + end)
-            )
+            self.process.write_range(self.hot_region.start + off, self.hot_region.start + end)
             wrapped = n - (end - off)
             if wrapped > 0:
-                self.process.write_range(
-                    VARange(self.hot_region.start, self.hot_region.start + wrapped)
-                )
+                self.process.write_range(self.hot_region.start, self.hot_region.start + wrapped)
             self._cursor = (self._cursor + n) % ws
         self.ops_completed += self.ops_per_s * dt
 

@@ -71,14 +71,25 @@ def test_write_range_dirties_outer_pages(kernel):
     proc = kernel.spawn("app")
     area = proc.mmap(MiB(1))
     span = VARange(area.start + 100, area.start + PAGE_SIZE + 200)
-    pfns = proc.write_range(span)
+    before = kernel.domain.pages.snapshot()
+    assert proc.write_range(span.start, span.end) is None
+    pfns = proc.write_pfns_of(span)
     assert len(pfns) == 2  # partially-touched pages count
+    bumped = np.flatnonzero(kernel.domain.pages.snapshot() != before)
+    assert bumped.tolist() == sorted(pfns.tolist())
+
+
+def test_write_range_refuses_a_malformed_span(kernel):
+    proc = kernel.spawn("app")
+    area = proc.mmap(MiB(1))
+    with pytest.raises(AddressError, match="malformed"):
+        proc.write_range(area.start + 10, area.start)
 
 
 def test_write_unmapped_faults(kernel):
     proc = kernel.spawn("app")
     with pytest.raises(TranslationFault):
-        proc.write_range(VARange(0x100000, 0x101000))
+        proc.write_range(0x100000, 0x101000)
 
 
 def test_exit_releases_everything(kernel):

@@ -47,7 +47,7 @@ def test_allocated_pages_must_match(kernel):
     dest = domain.make_destination()
     pfns = np.arange(domain.n_pages)
     dest.install_pages(pfns, domain.read_pages(pfns))
-    proc.write_range(area)  # dirty after "transfer"
+    proc.write_range(area.start, area.end)  # dirty after "transfer"
     result = verify_migration(domain, dest, kernel)
     assert not result.ok
     assert result.violating_pages == 256
@@ -62,7 +62,7 @@ def test_skip_area_pages_may_differ(kernel, lkm):
     dest = domain.make_destination()
     pfns = np.arange(domain.n_pages)
     dest.install_pages(pfns, domain.read_pages(pfns))
-    proc.write_range(area)
+    proc.write_range(area.start, area.end)
     result = verify_migration(domain, dest, kernel, lkm)
     assert result.ok
     assert result.mismatched_pages == 256

@@ -78,7 +78,7 @@ class FuzzApp(Actor):
             self.area.start + start * PAGE_SIZE,
             self.area.start + min(pages, start + count) * PAGE_SIZE,
         )
-        self.process.write_range(span)
+        self.process.write_range(span.start, span.end)
 
     def _shrink(self, frac: float) -> None:
         pages = self._pages()
@@ -113,7 +113,7 @@ class FuzzApp(Actor):
             self.live_span = VARange(
                 self.area.start, self.area.start + live_pages * PAGE_SIZE
             )
-            self.process.write_range(self.live_span)
+            self.process.write_range(self.live_span.start, self.live_span.end)
             self.kernel.netlink.send_to_kernel(
                 self.app_id,
                 msg.SuspensionReadyReply(
