@@ -33,7 +33,8 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.mem.constants import PAGE_SIZE
 from repro.net.meter import TrafficMeter
-from repro.telemetry.probe import NULL_PROBE
+from repro.telemetry.metrics import Counter
+from repro.telemetry.probe import NULL_PROBE, Probe
 from repro.units import gbit_per_s
 
 #: Rough per-page wire overhead: migration record header + its share of
@@ -71,8 +72,19 @@ class Link:
         #: single-threaded) to split its byte ledger without duplicating
         #: the loss arithmetic.
         self.last_retransmit_bytes = 0
-        #: telemetry handle (see repro.telemetry); no-op unless enabled
         self.probe = NULL_PROBE
+
+    @property
+    def probe(self) -> Probe:
+        """Telemetry handle (see repro.telemetry); no-op unless enabled."""
+        return self._probe
+
+    @probe.setter
+    def probe(self, probe: Probe) -> None:
+        self._probe = probe
+        #: per wire category, the probe's counters :meth:`account_pages`
+        #: adds to, resolved by the category's first call
+        self._page_counters: dict[str, tuple[Counter, ...]] = {}
 
     def set_bandwidth(self, bandwidth_bytes_per_s: float) -> None:
         """Change the raw link speed mid-flight (congestion, failover).
@@ -233,17 +245,28 @@ class Link:
             self.meter.add(
                 pages=0, payload_bytes=0, wire_bytes=retrans, category="loss_retx"
             )
-        if self.probe.enabled:
-            counters = self.probe.counters
-            counters["net.pages"].value += n_pages
-            counters["net.payload_bytes"].value += payload
-            counters["net.wire_bytes"].value += wire
-            counters["net.category_wire_bytes", category].value += wire - retrans
+        if self._probe.enabled:
+            handles = self._page_counters.get(category)
+            if handles is None:
+                counters = self._probe.counters
+                # Resolved in the order the series are first counted.
+                handles = self._page_counters[category] = (
+                    counters["net.pages"],
+                    counters["net.payload_bytes"],
+                    counters["net.wire_bytes"],
+                    counters["net.category_wire_bytes", category],
+                    counters["net.retransmit_wire_bytes"],
+                )
+            pages, payload_bytes, wire_bytes, category_bytes, retransmit_bytes = handles
+            pages.value += n_pages
+            payload_bytes.value += payload
+            wire_bytes.value += wire
+            category_bytes.value += wire - retrans
             # Emitted even when zero so downstream comparators always
             # find the series and can gate on its growth.
-            counters["net.retransmit_wire_bytes"].value += retrans
+            retransmit_bytes.value += retrans
             if retrans:
-                counters["net.category_wire_bytes", "loss_retx"].value += retrans
+                self._probe.counters["net.category_wire_bytes", "loss_retx"].value += retrans
         return wire
 
     def account_control(self, n_bytes: int, category: str = "control") -> int:
@@ -251,8 +274,8 @@ class Link:
         self.meter.add(
             pages=0, payload_bytes=0, wire_bytes=int(n_bytes), category=category
         )
-        if self.probe.enabled:
-            counters = self.probe.counters
+        if self._probe.enabled:
+            counters = self._probe.counters
             counters["net.control_bytes"].value += int(n_bytes)
             counters["net.wire_bytes"].value += int(n_bytes)
             counters["net.category_wire_bytes", category].value += int(n_bytes)

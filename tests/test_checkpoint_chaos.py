@@ -330,3 +330,35 @@ def test_wan_rescue_crash_resume_equivalence(tmp_path, monkeypatch,
     assert outcome.rescues == baseline.rescues
     assert outcome.n_attempts == baseline.n_attempts
     _assert_identical(expected, _fingerprint(sup.vm, outcome.report))
+
+
+def test_held_telemetry_counters_survive_a_crash_resume(tmp_path):
+    """The dirty log and the link hold their probe's counters; after a
+    crash-resume they must count into the restored probe's registry, so
+    the run ends with the uninterrupted run's ``dirty.*`` and ``net.*``
+    series, in the same order."""
+    kwargs = dict(
+        workload="derby", engine_name="xen", warmup_s=4.0, seed=11,
+        vm_kwargs=dict(VM_KWARGS), telemetry=True,
+    )
+
+    def series(vm) -> list:
+        return [
+            (sv.name, sv.labels, sv.value)
+            for sv in vm.probe.metrics.snapshot().series.values()
+            if sv.name.startswith(("dirty.", "net."))
+        ]
+
+    baseline, vm_b = supervised_migrate(**kwargs)
+    expected = series(vm_b)
+    assert any(name == "dirty.pages_marked" for name, _, _ in expected)
+
+    cfg = CheckpointConfig(directory=str(tmp_path), every_s=0.5,
+                           crash_at_tick=1100, max_overhead=None)
+    with pytest.raises(SimulatedCrash):
+        supervised_migrate(checkpoint=cfg, **kwargs)
+    resumed = resume(str(tmp_path))
+    sup = resumed.controller
+    outcome = sup.run(resumed.checkpointer(every_s=0.5, max_overhead=None))
+    assert outcome.ok == baseline.ok
+    assert series(sup.vm) == expected

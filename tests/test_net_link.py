@@ -138,3 +138,33 @@ def test_plain_link_latency_surface_is_neutral():
     assert link.control_rtt_s == 0.0
     assert link.iteration_floor_s(1 << 20) == 0.0
     assert link.watchdog_scale() == (1.0, 0.0)
+
+
+def test_net_counters_follow_the_probe_and_its_categories():
+    """The held ``net.*`` counters are resolved per wire category, in
+    the order the registry lookups would create them, and are dropped
+    when another probe is attached."""
+    from repro.telemetry.probe import Probe
+
+    link = Link()
+    first, second = Probe(), Probe()
+    link.probe = first
+    link.account_pages(2, category="first_copy")
+    link.account_pages(1, category="redirty")
+    link.account_control(100)
+    link.probe = second
+    link.account_pages(3, category="first_copy")
+    snap = first.metrics.snapshot()
+    assert [(sv.name, dict(sv.labels)) for sv in snap.series.values()] == [
+        ("net.pages", {}),
+        ("net.payload_bytes", {}),
+        ("net.wire_bytes", {}),
+        ("net.category_wire_bytes", {"category": "first_copy"}),
+        ("net.retransmit_wire_bytes", {}),
+        ("net.category_wire_bytes", {"category": "redirty"}),
+        ("net.control_bytes", {}),
+        ("net.category_wire_bytes", {"category": "control"}),
+    ]
+    assert snap.value("net.pages") == 3
+    assert snap.value("net.wire_bytes") == 3 * link.page_wire_bytes + 100
+    assert second.metrics.snapshot().value("net.pages") == 3

@@ -67,3 +67,29 @@ def test_disable_clears():
     assert log.count() == 0
     log.mark(np.array([2]))
     assert log.count() == 0
+
+
+def test_pages_marked_counts_into_the_current_probe():
+    """The held ``dirty.pages_marked`` counter follows probe
+    reassignment and pickling: each probe's registry counts the marks
+    made while it is attached, and nothing else."""
+    import pickle
+
+    from repro.telemetry.probe import Probe
+
+    log = DirtyLog(16)
+    log.enable()
+    log.mark_range(0, 3)  # no probe: nothing counted anywhere
+    first, second = Probe(), Probe()
+    log.probe = first
+    assert len(first.metrics) == 0  # the counter is created by a mark
+    log.mark_range(0, 3)
+    log.mark(np.array([1, 1]))
+    log.probe = second
+    log.mark_counted(np.array([4]), 5)
+    twin_log, twin_probe = pickle.loads(pickle.dumps((log, second)))
+    twin_log.mark_range(8, 10)
+    values = [
+        p.metrics.snapshot().value("dirty.pages_marked") for p in (first, second, twin_probe)
+    ]
+    assert values == [5, 5, 7]
