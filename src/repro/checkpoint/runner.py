@@ -38,7 +38,6 @@ surface: ``.engine`` (required), ``.probe`` and
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -240,17 +239,16 @@ def advance_to(
     controller,
     t: float,
     checkpointer: Checkpointer | None = None,
-    limit: float = math.inf,
 ) -> None:
     """:meth:`Engine.run_until` chunked around checkpoint writes.
 
     Each advance is bounded at the next checkpoint instant so cadence
-    checkpoints land on schedule even across event-kernel leaps.
-    *limit* is an absolute simulated instant the caller's scheduling
-    slice ends at: the loop returns (without error) once the clock
-    reaches it, even though *t* has not been reached yet.
+    checkpoints land on schedule even across event-kernel leaps.  Inside
+    a scheduling slice (:meth:`Engine.slice`) the loop returns (without
+    error) once the clock reaches the slice's end, even though *t* has
+    not been reached yet.
     """
-    controller.engine.run_until(t, limit=limit, **_hooks(controller, checkpointer))
+    controller.engine.run_until(t, **_hooks(controller, checkpointer))
 
 
 def advance_while(
@@ -259,18 +257,16 @@ def advance_while(
     deadline: float,
     timeout: float,
     checkpointer: Checkpointer | None = None,
-    limit: float = math.inf,
 ) -> None:
     """:meth:`Engine.run_while` against an *absolute* deadline.
 
     Drivers store the deadline when the phase starts, so a resumed run
     keeps the original budget instead of restarting it; *timeout* is
-    only quoted in the timeout error.  *limit* slices the loop exactly
-    as in :func:`advance_to`.
+    only quoted in the timeout error.  A slice's end stops the loop
+    exactly as in :func:`advance_to`.
     """
     controller.engine.run_while(
-        predicate, timeout, deadline=deadline, limit=limit,
-        **_hooks(controller, checkpointer),
+        predicate, timeout, deadline=deadline, **_hooks(controller, checkpointer),
     )
 
 

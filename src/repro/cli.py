@@ -770,6 +770,8 @@ def _run_ctl(args: argparse.Namespace) -> int:
     except ServiceUnavailable as exc:
         print(f"ctl {verb}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,7 +22,6 @@ as the crash-safe one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,8 +214,7 @@ class ExperimentRun:
     # -- the phase machine --------------------------------------------------------------
 
     def run(self, checkpointer=None):
-        while not self.step(math.inf, checkpointer):
-            pass
+        self.step(checkpointer)
         return self.result
 
     @property
@@ -228,41 +226,44 @@ class ExperimentRun:
     def attempt(self) -> int:
         return 1 if self.supervisor is None else self.supervisor._attempt
 
-    def step(self, limit: float, checkpointer=None) -> bool:
-        """Advance the run up to the absolute simulated instant *limit*.
+    def step(self, checkpointer=None) -> bool:
+        """Advance the run to the end of the engine's current slice.
 
         The cooperative-scheduling form of :meth:`run`: a session
-        scheduler (see :mod:`repro.service`) calls this repeatedly with
-        a rising *limit*, interleaving many runs on one thread.  Each
-        slice executes the same advance chunking as :meth:`run` — only
-        tightened at the slice boundary — so a sliced run's simulated
+        scheduler (see :mod:`repro.service`) calls this inside one
+        :meth:`Engine.slice` after another, interleaving many runs on
+        one thread; outside a slice it runs to the end.  Each slice
+        executes the same advance chunking as :meth:`run` — only
+        tightened at the slice's end — so a sliced run's simulated
         measures are bit-identical to an unsliced one's.  A fresh
         *checkpointer* is armed with a baseline checkpoint first.
         Returns True once the run is done (``self.result`` is set).
         """
         if checkpointer is not None and checkpointer.written == 0:
             checkpointer.arm(self)
-        while self.phase != "done" and self.engine.now < limit:
-            self._step_phase(limit, checkpointer)
+        engine = self.engine
+        while self.phase != "done" and engine.now < engine.slice_end:
+            self._step_phase(checkpointer)
         return self.phase == "done"
 
-    def _step_phase(self, limit: float, checkpointer) -> None:
+    def _step_phase(self, checkpointer) -> None:
         """Execute one bounded slice of the current phase.
 
         Phase *transitions* happen only when the phase's own target is
-        reached; hitting *limit* first returns with the phase (and its
-        absolute deadlines) untouched, to be continued next slice.
+        reached; reaching the slice's end first returns with the phase
+        (and its absolute deadlines) untouched, to be continued next
+        slice.
         """
         exp = self.experiment
         if self.phase == "warmup":
-            advance_to(self, exp.warmup_s, checkpointer, limit=limit)
+            advance_to(self, exp.warmup_s, checkpointer)
             if self.engine.now >= exp.warmup_s:
                 self.phase = "choose"
         elif self.phase == "choose":
             self._launch()
             self.phase = "migrate"
         elif self.phase == "migrate":
-            if not self.supervisor.step(limit, checkpointer, self):
+            if not self.supervisor.step(checkpointer, self):
                 return  # slice boundary; keep migrating next slice
             last = self.supervisor.result.attempts[-1]
             if not exp.supervised and last.reason == "supervision timeout":
@@ -271,7 +272,7 @@ class ExperimentRun:
             self.phase = "cooldown"
         elif self.phase == "cooldown":
             target = self.migration_end + exp.cooldown_s
-            advance_to(self, target, checkpointer, limit=limit)
+            advance_to(self, target, checkpointer)
             if self.engine.now >= target:
                 self.result = self._finish()
                 self.phase = "done"

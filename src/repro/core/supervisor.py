@@ -61,7 +61,11 @@ from repro.migration.report import MigrationReport
 from repro.net.link import Link
 from repro.sim.engine import Engine
 from repro.sim.rng import SimRng
-from repro.telemetry.analysis.convergence import ConvergenceMonitor, ConvergenceState
+from repro.telemetry.analysis.convergence import (
+    NO_DIAGNOSIS,
+    ConvergenceMonitor,
+    ConvergenceState,
+)
 
 #: Assistance levels, most to least assisted.  Degradation walks right.
 DEGRADATION_CHAIN = ("javmm", "assisted", "xen")
@@ -296,8 +300,7 @@ class MigrationSupervisor:
         crashed run resumes mid-backoff or mid-attempt with its original
         deadlines.
         """
-        while not self.step(math.inf, checkpointer):
-            pass
+        self.step(checkpointer)
         return self._result
 
     @property
@@ -305,11 +308,11 @@ class MigrationSupervisor:
         """The supervision outcome (set once :meth:`step` returns True)."""
         return self._result
 
-    def step(self, limit: float, checkpointer=None, controller=None) -> bool:
-        """Advance supervision up to the absolute simulated instant
-        *limit* — the cooperative-scheduling form of :meth:`run` (see
+    def step(self, checkpointer=None, controller=None) -> bool:
+        """Advance supervision to the end of the engine's current slice
+        — the cooperative-scheduling form of :meth:`run` (see
         :meth:`repro.core.experiment.ExperimentRun.step`).  Every
-        engine advance is merely tightened at the slice boundary, so a
+        engine advance is merely tightened at the slice's end, so a
         sliced supervision is bit-identical to an unsliced one.
         Every advance names *controller* as the checkpoint root: the
         :class:`~repro.core.experiment.ExperimentRun` owning the
@@ -326,8 +329,9 @@ class MigrationSupervisor:
             )
             self._result.degradations.append(self._current)
             self._state = "next"
-        while self._state != "done" and self.engine.now < limit:
-            self._step_state(limit, checkpointer, controller)
+        engine = self.engine
+        while self._state != "done" and engine.now < engine.slice_end:
+            self._step_state(checkpointer, controller)
         if self._state == "done":
             if self._throttle is not None and self._throttle.engaged:
                 # Supervision is over either way; leave the guest at its
@@ -337,7 +341,7 @@ class MigrationSupervisor:
             return True
         return False
 
-    def _step_state(self, limit: float, checkpointer, controller) -> None:
+    def _step_state(self, checkpointer, controller) -> None:
         """Execute one bounded slice of the current state."""
         probe = self.vm.probe
         if self._state == "next":
@@ -359,8 +363,7 @@ class MigrationSupervisor:
             else:
                 self._state = "launch"
         elif self._state == "backoff":
-            advance_to(controller, self._backoff_until, checkpointer,
-                       limit=limit)
+            advance_to(controller, self._backoff_until, checkpointer)
             if self.engine.now < self._backoff_until:
                 return  # slice boundary mid-backoff
             probe.end(self._span_backoff, self.engine.now)
@@ -421,7 +424,7 @@ class MigrationSupervisor:
             )
             self._state = "attempt"
         elif self._state == "attempt":
-            self._run_attempt(checkpointer, limit, controller)
+            self._run_attempt(checkpointer, controller)
 
     def _attempt_rescue(self, checkpointer, record: AttemptRecord,
                         diagnosis) -> bool:
@@ -482,12 +485,13 @@ class MigrationSupervisor:
             )
         return True
 
-    def _run_attempt(self, checkpointer, limit: float, controller) -> None:
+    def _run_attempt(self, checkpointer, controller) -> None:
         """Run the live attempt to completion and digest its outcome.
 
-        With a slice *limit*, an interrupted attempt simply returns —
-        the migrator stays registered and the state stays ``attempt``,
-        so the next slice continues it against the original deadline.
+        At the end of a scheduling slice, an interrupted attempt simply
+        returns — the migrator stays registered and the state stays
+        ``attempt``, so the next slice continues it against the original
+        deadline.
         """
         probe = self.vm.probe
         migrator = self._migrator
@@ -500,9 +504,8 @@ class MigrationSupervisor:
                     self._attempt_deadline,
                     self._attempt_budget_s,
                     checkpointer,
-                    limit=limit,
                 )
-                if not migrator.finished and self.engine.now >= limit:
+                if not migrator.finished and self.engine.now >= self.engine.slice_end:
                     # Slice boundary: leave the migrator (and rescuer)
                     # registered; the attempt continues next slice.
                     return
@@ -526,11 +529,7 @@ class MigrationSupervisor:
         if self._rescuer is not None:
             self.engine.remove(self._rescuer)
         monitor = self._monitor
-        diagnosis = (
-            monitor.diagnosis
-            if monitor is not None
-            else ConvergenceMonitor().diagnosis  # UNKNOWN placeholder
-        )
+        diagnosis = monitor.diagnosis if monitor is not None else NO_DIAGNOSIS
         if diagnosis.state is not ConvergenceState.UNKNOWN:
             record.diagnosis = diagnosis.summary()
         probe.end(self._span_attempt, self.engine.now,

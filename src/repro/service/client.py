@@ -1,14 +1,16 @@
 """Synchronous client for the migration-manager daemon.
 
 ``repro ctl`` (and the tests) talk to ``repro serve`` through this:
-dial the Unix socket recorded in ``<root>/ctl.addr``, write one JSON
-line, read one JSON line back.  A non-``ok`` response raises
+dial the Unix socket recorded in ``<root>/ctl.addr`` once, then write
+one JSON line and read one JSON line back per request, over that one
+connection.  A non-``ok`` response raises
 :class:`ServiceUnavailable`'s sibling :class:`RequestFailed` so callers
 never have to remember to check the flag.
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import time
 
@@ -24,41 +26,85 @@ class RequestFailed(RuntimeError):
 
 
 class ServiceClient:
-    """One service root, many requests (a fresh connection per call —
-    the daemon is local and the protocol is one line each way)."""
+    """One service root, many requests over one kept connection.
+
+    The connection is opened by the first request and carries every
+    later one; the daemon answers any number of lines per connection.
+    Before a request is sent, a kept connection found closed (the daemon
+    hung up, or was restarted over the same root) is replaced by a fresh
+    one.  A connection that dies after a request was sent raises
+    :class:`ServiceUnavailable`, and the request is never sent again: a
+    verb such as ``submit`` must not run twice.  One client serves one
+    thread; :meth:`close` drops the connection.
+    """
 
     def __init__(self, root_dir: str, timeout_s: float = 30.0) -> None:
         self.root_dir = root_dir
         self.timeout_s = timeout_s
+        self._sock: socket.socket | None = None
 
     @property
     def socket_path(self) -> str:
         return protocol.read_addr(self.root_dir)
+
+    def close(self) -> None:
+        """Drop the kept connection; the next request dials afresh."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def _connection(self) -> socket.socket:
+        """The kept connection, or a fresh one if it was found closed.
+
+        With no request out, the daemon never writes, so a kept
+        connection that reads as ready has been hung up."""
+        if self._sock is not None:
+            poller = select.poll()
+            poller.register(self._sock, select.POLLIN)
+            if poller.poll(0):
+                self.close()
+        if self._sock is None:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(self.timeout_s)
+            try:
+                sock.connect(self.socket_path)
+            except BaseException:
+                sock.close()
+                raise
+            self._sock = sock
+        return self._sock
 
     def request(self, op: str, **fields) -> dict:
         """Send one verb; return the daemon's response payload."""
         message = {"op": op}
         message.update(fields)
         try:
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                sock.settimeout(self.timeout_s)
-                sock.connect(self.socket_path)
-                sock.sendall(protocol.encode(message))
-                line = b""
-                while not line.endswith(b"\n"):
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    line += chunk
+            sock = self._connection()
         except (ConnectionRefusedError, FileNotFoundError) as exc:
             raise ServiceUnavailable(
                 f"no daemon on {self.socket_path}: {exc}"
             ) from exc
-        if not line:
+        line = b""
+        try:
+            sock.sendall(protocol.encode(message))
+            while not line.endswith(b"\n"):
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                line += chunk
+        except ConnectionError:
+            line = b""
+        except BaseException:  # a timeout: its answer may come later
+            self.close()
+            raise
+        if not line.endswith(b"\n"):
+            self.close()
             raise ServiceUnavailable(
                 f"daemon on {self.socket_path} hung up mid-request"
             )
         response = protocol.decode(line)
+        if op == "shutdown":
+            self.close()  # the daemon hangs up every connection as it stops
         if not response.get("ok"):
             raise RequestFailed(response.get("error", "request failed"))
         return response

@@ -13,7 +13,9 @@ Every drive style runs the same rounds (:meth:`_round`):
 :meth:`drain` runs them until every session is terminal (benchmarks,
 tests and the equivalence oracle), :meth:`step_round` runs one, and the
 daemon's loop takes them one slice at a time, answering control verbs
-between slices.
+between slices.  :attr:`MigrationManager.slice_cut`, when set, is asked
+between the engine advances of every slice and may end it early; the
+daemon sets it to "a request is waiting on the socket".
 
 One checkpoint budget covers the whole manager: every session's
 checkpointer charges and admits against the manager's one
@@ -65,6 +67,9 @@ class MigrationManager:
         self.checkpoint_overhead = checkpoint_overhead
         #: the one checkpoint budget meter every session's writes charge
         self.checkpoint_meter = WallMeter()
+        #: asked between the engine advances of every slice; True ends
+        #: that slice at once.  It must not raise.
+        self.slice_cut = None
         self.sessions: dict[str, MigrationSession] = {}
         self._counter = 0
         if root_dir is not None:
@@ -165,6 +170,7 @@ class MigrationManager:
         self._admit()
         for session in list(self.sessions.values()):
             if session.state == RUNNING:
+                session.slice_cut = self.slice_cut
                 session.step_slice(self.slice_s)
                 yield session
 

@@ -1,8 +1,11 @@
 """The JSON-lines control protocol ``repro serve`` speaks.
 
 One request per line, one response per line, both JSON objects over a
-Unix-domain socket.  Requests carry ``{"op": <verb>, ...}``; responses
-carry ``{"ok": true, ...}`` or ``{"ok": false, "error": <message>}``.
+Unix-domain socket.  One connection may carry any number of requests,
+answered in order; :class:`~repro.service.client.ServiceClient` keeps
+one open across all of its requests.  Requests carry
+``{"op": <verb>, ...}``; responses carry ``{"ok": true, ...}`` or
+``{"ok": false, "error": <message>}``.
 The verb surface mirrors :class:`~repro.service.manager.MigrationManager`
 one to one, so anything expressible in-process is expressible over the
 wire (the mini-cloud controller shape: submit / status / pause /

@@ -9,12 +9,21 @@ per-connection buffers, answers each complete JSON-lines request
 (:mod:`repro.service.protocol`) and writes the answers non-blocking.
 With no session runnable it blocks in ``select`` for up to 50 ms.
 
-So a verb whose line has arrived is answered before the next slice
-starts, on the simulation's thread: it never observes a session
+Inside a slice, between two engine advances, the daemon asks again,
+with no wait, whether anything registered with its selector is ready
+(the manager's ``slice_cut``: one poll of the selector's own
+descriptor).  If a connection or a request is, the running slice
+ends at the current instant, exactly as at a slice's planned end, and
+the verb is served right after it.  So a verb waits for at most one
+engine advance, not for the rest of a slice; with nobody waiting,
+slices keep their full ``slice_s``.  Verbs still run only *between*
+slices, on the simulation's thread: a verb never observes a session
 mid-advance, and pause/abort/stop-and-copy land exactly at slice
 boundaries, the only instants at which the bit-identity invariant is
 defined.  A client that stalls mid-line, or never reads its answers,
-holds only its own buffers.
+holds only its own buffers, and is never ready, so it cuts no slice.
+``ping`` answers with the daemon's own ``slices`` and ``slices_cut``
+counts.
 
 Killing the daemon (SIGKILL included) loses nothing that matters: the
 admin records, checkpoints and results are all durable, and a new
@@ -25,6 +34,7 @@ daemon over the same root directory resumes every in-flight session
 from __future__ import annotations
 
 import os
+import select
 import selectors
 import socket
 from types import SimpleNamespace
@@ -53,6 +63,13 @@ class ServiceDaemon:
         )
         self._stopping = False
         self._selector = None
+        #: a poll over the selector's own descriptor, which reads as
+        #: ready while anything registered with the selector is: a
+        #: cheaper "is a request waiting?" than a selector poll
+        self._readiness = None
+        #: session slices run, and how many of them a waiting verb cut short
+        self.slices = 0
+        self.slices_cut = 0
 
     # -- verb dispatch ------------------------------------------------------------------
 
@@ -75,6 +92,8 @@ class ServiceDaemon:
                     pong=True,
                     sessions=len(manager.sessions),
                     active=len(manager.active),
+                    slices=self.slices,
+                    slices_cut=self.slices_cut,
                 )
             if op == "submit":
                 session_id = manager.submit(request.get("config", {}))
@@ -116,6 +135,20 @@ class ServiceDaemon:
         return protocol.error(f"unhandled op {op!r}")  # pragma: no cover
 
     # -- the loop -----------------------------------------------------------------------
+
+    def _request_waiting(self) -> bool:
+        """The manager's slice cut: is a connection or a request ready?
+
+        Asked between engine advances, so it must never raise into a
+        simulation: a failing poll cuts the slice too, and the loop's
+        own poll meets the failure between slices.
+        """
+        try:
+            waiting = bool(self._readiness.poll(0))
+        except OSError:
+            waiting = True
+        self.slices_cut += waiting
+        return waiting
 
     def _poll(self, timeout: float) -> None:
         """Serve the socket until nothing is ready, waiting *timeout* at first."""
@@ -186,23 +219,28 @@ class ServiceDaemon:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)  # stale socket from a dead daemon
         self._selector = selectors.DefaultSelector()
+        self._readiness = select.poll()
+        self._readiness.register(self._selector.fileno(), select.POLLIN)
         with socket.create_server(
             self.socket_path, family=socket.AF_UNIX, backlog=100
         ) as listener:
             listener.setblocking(False)
             self._selector.register(listener, selectors.EVENT_READ)
             protocol.write_addr(self.manager.root_dir, self.socket_path)
+            self.manager.slice_cut = self._request_waiting
             try:
                 while not self._stopping:
                     ran = False
                     for _ in self.manager._round():
                         ran = True
+                        self.slices += 1
                         self._poll(0)
                         if self._stopping:
                             break
                     if not ran:
                         self._poll(IDLE_S)
             finally:  # answers already sent stay readable after the close
+                self.manager.slice_cut = None
                 for key in list(self._selector.get_map().values()):
                     key.fileobj.close()
                 self._selector.close()

@@ -10,11 +10,12 @@ finalized``
 
 The correctness contract is the repo's standard one: because a session
 only ever *tightens* engine-advance bounds at slice boundaries (the
-PR 6 invariant), a session's final report, page-version array and
-attribution ledger are bit-identical to the same
-:class:`SessionConfig` run standalone through
-:func:`run_standalone` — the kernel-equivalence suite and
-``tests/test_service_chaos.py`` both enforce the digest equality.
+PR 6 invariant), wherever a slice ends or is cut, a session's final
+report, page-version array and attribution ledger are bit-identical to
+the same :class:`SessionConfig` run standalone through
+:func:`run_standalone` — the kernel-equivalence suite,
+``tests/test_service_chaos.py`` and ``tests/test_service_cut.py`` all
+enforce the digest equality.
 
 Everything durable lives under the session's directory::
 
@@ -384,6 +385,9 @@ class MigrationSession:
         #: the checkpoint :class:`~repro.checkpoint.runner.WallMeter` the
         #: owning manager shares among its sessions (None: one's own)
         self.checkpoint_meter = None
+        #: asked between engine advances; True ends the running slice at
+        #: once (the manager hands its ``slice_cut`` to every slice)
+        self.slice_cut = None
         self.result_payload: dict | None = None
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -517,13 +521,16 @@ class MigrationSession:
         self.checkpointer = self._make_checkpointer()
 
     def step_slice(self, slice_s: float) -> bool:
-        """Advance one cooperative slice; True when the session left
-        the RUNNING state (done, aborted or failed)."""
+        """Advance one cooperative slice of *slice_s* simulated seconds,
+        or less when :attr:`slice_cut` ends it early; True when the
+        session left the RUNNING state (done, aborted or failed)."""
         if self._admin.state != RUNNING:
             return self._admin.state != PAUSED
         driver = self.driver
+        engine = driver.engine
         try:
-            finished = driver.step(driver.engine.now + slice_s, self.checkpointer)
+            with engine.slice(engine.now + slice_s, self.slice_cut):
+                finished = driver.step(self.checkpointer)
         except Exception as exc:  # noqa: BLE001 — session isolation:
             # one blown simulation must not take the daemon down.
             self._fail(exc)

@@ -24,6 +24,13 @@ Two kernels share that interface:
 A wake-queue rides along: :meth:`wake` bounds the next leap so a step
 lands at a given instant, and :meth:`call_at` additionally runs a
 callback at the first tick at or after that instant (in both kernels).
+
+A scheduling slice rides along too: inside :meth:`slice` every run
+loop (and every driver loop above them, which re-reads
+:attr:`Engine.slice_end`) stops once the clock reaches the slice's
+end, and a *cut* check asked between advances can pull that end in to
+the current instant.  Both are transient: a slice never reaches a
+snapshot.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ import io
 import math
 import os
 import pickle
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import CheckpointError, CheckpointSchemaError, ConfigurationError, SimulationError
 from repro.sim.actor import Actor
@@ -48,6 +56,8 @@ KERNEL_ENV_VAR = "REPRO_SIM_KERNEL"
 #: the run loops' hooks: bound tightening, and work between advances
 Cap = Callable[[float], float]
 Hook = Callable[[], None]
+#: a slice's cut check: asked between advances, True ends the slice now
+Cut = Callable[[], bool]
 
 
 class Engine:
@@ -80,15 +90,21 @@ class Engine:
         self._timer_seq = 0
         #: number of multi-tick leaps taken (observability / tests)
         self.leaps = 0
+        #: the running slice's end, an absolute instant (see :meth:`slice`);
+        #: transient like ``_roster``
+        self.slice_end = math.inf
+        self._cut: Cut | None = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_roster"]
+        del state["_roster"], state["slice_end"], state["_cut"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._roster = tuple(entry[2] for entry in self._actors)
+        self.slice_end = math.inf
+        self._cut = None
 
     @property
     def now(self) -> float:
@@ -216,15 +232,31 @@ class Engine:
         """
         return self._advance(bound)
 
+    @contextmanager
+    def slice(self, end: float, cut: Cut | None = None) -> Iterator[None]:
+        """Run the block as one scheduling slice ending at instant *end*.
+
+        Every run loop returns quietly once the clock reaches
+        :attr:`slice_end`, and each advance's bound is tightened to it.
+        *cut* is asked after every advance; when it answers True the
+        slice ends at the current instant, exactly as if *end* had been
+        that instant.  Bounds only ever tighten, so a sliced run takes
+        the same ticks as a plain one, wherever its slices end.
+        """
+        self.slice_end, self._cut = end, cut
+        try:
+            yield
+        finally:
+            self.slice_end, self._cut = math.inf, None
+
     def run_until(
-        self, t: float, *, limit: float = math.inf, cap: Cap | None = None,
-        after: Hook | None = None,
+        self, t: float, *, cap: Cap | None = None, after: Hook | None = None,
     ) -> None:
         """Run steps until simulated time reaches at least *t*.
 
         The checkpointed drivers' loop too
         (:func:`repro.checkpoint.runner.advance_to`): it returns quietly
-        once the clock reaches *limit* (a scheduling slice's end), *cap*
+        once the clock reaches the slice's end (:meth:`slice`), *cap*
         tightens each advance's bound (to the next checkpoint) and
         *after* runs between advances.  Bounds only ever tighten, so a
         sliced or checkpointed run takes the same ticks as a plain one.
@@ -234,24 +266,27 @@ class Engine:
                 f"cannot run to {t:.3f}: time is already {self.now:.3f}"
             )
         steps = 0
-        while self.now < min(t, limit):
+        while self.now < min(t, self.slice_end):
             bound = t if cap is None else cap(t)
-            steps += self._advance(min(bound, limit))
+            steps += self._advance(min(bound, self.slice_end))
             if steps > self._max_steps:
                 raise SimulationError("run_until exceeded the step budget")
             if after is not None:
                 after()
+            if self._cut is not None and self._cut():
+                self.slice_end = self.now
 
     def run_while(
         self, predicate: Callable[[], bool], timeout: float = 3600.0, *,
-        deadline: float | None = None, limit: float = math.inf,
-        cap: Cap | None = None, after: Hook | None = None,
+        deadline: float | None = None, cap: Cap | None = None,
+        after: Hook | None = None,
     ) -> None:
         """Run steps while ``predicate()`` holds, up to *timeout* sim-seconds.
 
         An absolute *deadline* replaces ``now + timeout`` (a resumed
         driver keeps its budget; *timeout* is then only quoted in the
-        error); *limit*, *cap* and *after* are as in :meth:`run_until`.
+        error); the slice's end, *cap* and *after* are as in
+        :meth:`run_until`.
         """
         if deadline is None:
             deadline = self.now + timeout
@@ -260,12 +295,14 @@ class Engine:
                 raise SimulationError(
                     f"run_while did not terminate within {timeout:.1f} sim-seconds"
                 )
-            if self.now >= limit:
+            if self.now >= self.slice_end:
                 return
             bound = deadline if cap is None else cap(deadline)
-            self._advance(min(bound, limit))
+            self._advance(min(bound, self.slice_end))
             if after is not None:
                 after()
+            if self._cut is not None and self._cut():
+                self.slice_end = self.now
 
     # -- snapshot / restore -----------------------------------------------------------
 

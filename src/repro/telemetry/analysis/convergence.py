@@ -83,6 +83,13 @@ class Diagnosis:
         )
 
 
+#: the verdict before any iteration was observed
+NO_DIAGNOSIS = Diagnosis(
+    ConvergenceState.UNKNOWN, 0.0, 0.0, 0.0, None, None, 0,
+    "no iterations observed",
+)
+
+
 @dataclass(frozen=True)
 class _Observation:
     time_s: float
@@ -150,12 +157,7 @@ class ConvergenceMonitor:
     @property
     def diagnosis(self) -> Diagnosis:
         """The most recent verdict (UNKNOWN before any observation)."""
-        if self._history:
-            return self._history[-1]
-        return Diagnosis(
-            ConvergenceState.UNKNOWN, 0.0, 0.0, 0.0, None, None, 0,
-            "no iterations observed",
-        )
+        return self._history[-1] if self._history else NO_DIAGNOSIS
 
     @property
     def history(self) -> list[Diagnosis]:
