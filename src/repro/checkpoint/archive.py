@@ -6,10 +6,9 @@ A checkpoint is a tick-stamped directory::
         manifest.json   schema version, config hash, tick, actor
                         inventory, journal offset, sha256 digests
         state.pkl       the pickled engine graph (Engine.snapshot)
-        arrays.npz      inspectable numpy mirror (page versions, ...)
 
 written under a temporary name and :func:`os.replace`-renamed into
-place, with the payload files fsynced first — so the directory either
+place, with both files fsynced first — so the directory either
 exists complete or not at all, and a crash mid-write leaves the
 previous checkpoint untouched.  A ``LATEST`` pointer file names the
 newest complete checkpoint; loaders fall back to scanning for the
@@ -17,7 +16,7 @@ highest tick if the pointer is stale or torn.
 
 Validation happens before any state is applied: the manifest's schema
 version, the config hash (when the caller knows what config it expects)
-and the payload digests must all match, otherwise
+and the ``state.pkl`` digest must all match, otherwise
 :class:`~repro.errors.CheckpointError` /
 :class:`~repro.errors.CheckpointSchemaError` is raised.
 """
@@ -25,15 +24,13 @@ and the payload digests must all match, otherwise
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
+import pickle
 import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from repro.errors import CheckpointError, CheckpointSchemaError
 from repro.sim.engine import Engine
@@ -98,9 +95,10 @@ class CheckpointArchive:
 
     def load_state(self) -> object:
         """Deserialize the pickled root (engine, or a resumable
-        driver holding the engine), verifying the state digest."""
-        import pickle
+        driver holding the engine), verifying the state digest.
 
+        A missing, unreadable or damaged ``state.pkl`` raises
+        :class:`~repro.errors.CheckpointError` naming the file."""
         # Refused before unpickling: an older layout may not even load.
         # Archives older than v5 carry no version in their manifest.
         version = self.manifest.get("state_version", "4 or older")
@@ -109,7 +107,12 @@ class CheckpointArchive:
                 f"checkpoint state v{version} cannot be applied to "
                 f"v{STATE_VERSION}"
             )
-        blob = (self.path / "state.pkl").read_bytes()
+        try:
+            blob = (self.path / "state.pkl").read_bytes()
+        except OSError as exc:
+            raise CheckpointError(
+                f"checkpoint {self.path} is torn: state.pkl did not read: {exc}"
+            ) from exc
         want = self.manifest["digests"]["state.pkl"]
         got = _sha256(blob)
         if got != want:
@@ -120,7 +123,9 @@ class CheckpointArchive:
         try:
             version, root = pickle.loads(blob)
         except Exception as exc:
-            raise CheckpointError(f"checkpoint state did not load: {exc}") from exc
+            raise CheckpointError(
+                f"checkpoint {self.path}: state.pkl did not load: {exc}"
+            ) from exc
         if version != STATE_VERSION:
             raise CheckpointSchemaError(
                 f"checkpoint state v{version} cannot be applied to "
@@ -138,27 +143,18 @@ class CheckpointArchive:
             )
         return root
 
-    def load_arrays(self) -> dict[str, np.ndarray]:
-        """The inspectable numpy mirror (page versions and friends)."""
-        npz_path = self.path / "arrays.npz"
-        if not npz_path.exists():
-            return {}
-        with np.load(npz_path) as npz:
-            return {k: npz[k] for k in npz.files}
 
+class _HashingWriter:
+    """The write end of ``state.pkl``: hashes what it passes on, so the
+    pickle streams to disk without a copy of it held in memory."""
 
-def _dump_root(root: object) -> bytes:
-    """Pickle ``(STATE_VERSION, root)`` through one pickler."""
-    import pickle
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
 
-    buf = io.BytesIO()
-    try:
-        pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(
-            (STATE_VERSION, root)
-        )
-    except Exception as exc:
-        raise CheckpointError(f"checkpoint state did not serialize: {exc}") from exc
-    return buf.getvalue()
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.fh.write(data)
 
 
 def write_checkpoint(
@@ -168,22 +164,18 @@ def write_checkpoint(
     root: object | None = None,
     cfg_hash: str = "",
     journal_offset: int = 0,
-    arrays: dict[str, np.ndarray] | None = None,
     extra: dict | None = None,
 ) -> CheckpointArchive:
     """Atomically write one checkpoint under *directory*.
 
     The pickled payload is *root* when given (a resumable driver whose
-    graph includes the engine), else *engine* itself.  *arrays* is an
-    optional dict of numpy arrays mirrored into ``arrays.npz`` for
-    tooling that wants to inspect page versions without unpickling a
-    full engine.  *extra* rides in the manifest under ``"extra"``
-    (e.g. supervisor phase, fault-plan offsets).
+    graph includes the engine), else *engine* itself.  *extra* rides
+    in the manifest under ``"extra"`` (e.g. supervisor phase, fault-plan
+    offsets).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     target = engine if root is None else root
-    blob = _dump_root(target)
     tick = engine.clock.ticks
     manifest = {
         "schema": CHECKPOINT_SCHEMA,
@@ -195,7 +187,6 @@ def write_checkpoint(
         "journal_offset": int(journal_offset),
         "engine": engine.describe(),
         "extra": extra or {},
-        "digests": {"state.pkl": _sha256(blob)},
     }
 
     final = directory / f"ckpt-{tick}"
@@ -204,22 +195,23 @@ def write_checkpoint(
         shutil.rmtree(tmp)
     tmp.mkdir()
     try:
-        (tmp / "state.pkl").write_bytes(blob)
-        if arrays:
-            # Uncompressed on purpose: the mirror is ~1 MiB and pruning
-            # keeps two archives, while compression costs 5x the wall
-            # time of the write on the checkpoint hot path.  Built in
-            # memory, so it is hashed without reading the file back.
-            npz = io.BytesIO()
-            np.savez(npz, **arrays)
-            (tmp / "arrays.npz").write_bytes(npz.getbuffer())
-            manifest["digests"]["arrays.npz"] = _sha256(npz.getbuffer())
-        (tmp / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        for name in ("state.pkl", "manifest.json"):
-            with open(tmp / name, "rb") as fh:
-                os.fsync(fh.fileno())
+        with open(tmp / "state.pkl", "wb") as fh:
+            out = _HashingWriter(fh)
+            try:
+                pickle.Pickler(out, protocol=pickle.HIGHEST_PROTOCOL).dump(
+                    (STATE_VERSION, target)
+                )
+            except Exception as exc:
+                raise CheckpointError(
+                    f"checkpoint state did not serialize: {exc}"
+                ) from exc
+            fh.flush()
+            os.fsync(fh.fileno())
+        manifest["digests"] = {"state.pkl": out.sha256.hexdigest()}
+        with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         if final.exists():  # same tick re-written (e.g. resumed run)
             shutil.rmtree(final)
         os.replace(tmp, final)

@@ -32,8 +32,8 @@ bit-identical to one without, and a crash+resume run is bit-identical
 to both (the chaos tests assert exactly this).
 
 Controllers passed to the checkpointer expose a small duck-typed
-surface: ``.engine`` (required), ``.probe`` and
-``checkpoint_arrays()`` / ``checkpoint_extra()`` (optional).
+surface: ``.engine`` (required), ``.probe`` and ``checkpoint_extra()``
+(optional).
 """
 
 from __future__ import annotations
@@ -197,9 +197,6 @@ class Checkpointer:
         """Write one checkpoint of *controller* now, then prune."""
         engine = controller.engine
         probe = getattr(controller, "probe", None) or NULL_PROBE
-        arrays = {}
-        if hasattr(controller, "checkpoint_arrays"):
-            arrays = controller.checkpoint_arrays()
         extra = {}
         if hasattr(controller, "checkpoint_extra"):
             extra = controller.checkpoint_extra()
@@ -210,7 +207,6 @@ class Checkpointer:
             root=controller,
             cfg_hash=self.cfg_hash,
             journal_offset=self.journal.offset,
-            arrays=arrays,
             extra=extra,
         )
         wall_ms = (time.perf_counter() - t0) * 1e3

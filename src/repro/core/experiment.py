@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.checkpoint.runner import advance_to
 from repro.core.builders import JavaVM, build_java_vm, make_migrator
 from repro.errors import MigrationError
@@ -193,11 +191,6 @@ class ExperimentRun:
     @property
     def probe(self):
         return self.vm.probe
-
-    def checkpoint_arrays(self) -> dict:
-        """Inspectable numpy mirror: the source page versions."""
-        domain = self.vm.domain
-        return {"page_versions": domain.read_pages(np.arange(domain.n_pages))}
 
     def checkpoint_extra(self) -> dict:
         sup = self.supervisor

@@ -46,9 +46,6 @@ class PageBitmap:
         """Set bits for PFNs in ``[start, end)``."""
         self._bits[start:end] = True
 
-    def clear_range(self, start: int, end: int) -> None:
-        self._bits[start:end] = False
-
     def set_all(self) -> None:
         self._bits[:] = True
 
@@ -84,11 +81,6 @@ class PageBitmap:
 
     # -- combination -----------------------------------------------------------
 
-    def and_with(self, other: "PageBitmap") -> np.ndarray:
-        """PFNs set in both bitmaps, ascending."""
-        self._check_shape(other)
-        return np.flatnonzero(self._bits & other._bits)
-
     def snapshot_and_clear(self) -> np.ndarray:
         """Atomically read the set PFNs and clear the whole bitmap.
 
@@ -103,12 +95,6 @@ class PageBitmap:
         dup = PageBitmap(self.n_pages)
         dup._bits[:] = self._bits
         return dup
-
-    def _check_shape(self, other: "PageBitmap") -> None:
-        if other.n_pages != self.n_pages:
-            raise ConfigurationError(
-                f"bitmap size mismatch: {self.n_pages} vs {other.n_pages}"
-            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PageBitmap):

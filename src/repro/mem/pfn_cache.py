@@ -71,12 +71,6 @@ class PfnCache:
         vpns = np.arange(start_vpn, start_vpn + pfns.size, dtype=np.int64)
         self._merge(vpns, pfns)
 
-    def record_pairs(self, vpns: np.ndarray, pfns: np.ndarray) -> None:
-        """Remember explicit (VPN, PFN) pairs."""
-        self._merge(
-            np.asarray(vpns, dtype=np.int64), np.asarray(pfns, dtype=np.int64)
-        )
-
     def _span_slice(self, r: VARange) -> slice:
         """The slice of the sorted arrays covering pages inside *r*."""
         start_vpn, end_vpn = page_span_inner(r)

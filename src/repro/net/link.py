@@ -191,11 +191,6 @@ class Link:
         """Bytes a single 4 KiB page costs on the wire."""
         return PAGE_SIZE + self.page_overhead
 
-    @property
-    def pages_per_second(self) -> float:
-        """Sustained page transfer rate."""
-        return self.goodput / self.page_wire_bytes
-
     def capacity_bytes(self, dt: float) -> float:
         """Usable bytes this link can move in a *dt*-second step."""
         return self.goodput * dt
@@ -268,15 +263,3 @@ class Link:
             if retrans:
                 self._probe.counters["net.category_wire_bytes", "loss_retx"].value += retrans
         return wire
-
-    def account_control(self, n_bytes: int, category: str = "control") -> int:
-        """Record control-plane bytes (handshakes, dirty-bitmap syncs)."""
-        self.meter.add(
-            pages=0, payload_bytes=0, wire_bytes=int(n_bytes), category=category
-        )
-        if self._probe.enabled:
-            counters = self._probe.counters
-            counters["net.control_bytes"].value += int(n_bytes)
-            counters["net.wire_bytes"].value += int(n_bytes)
-            counters["net.category_wire_bytes", category].value += int(n_bytes)
-        return int(n_bytes)

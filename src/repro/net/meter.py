@@ -21,7 +21,6 @@ class TrafficMeter:
     payload_bytes: int = 0
     wire_bytes: int = 0
     by_category: dict[str, int] = field(default_factory=dict)
-    _marks: dict[str, tuple[int, int, int]] = field(default_factory=dict, repr=False)
 
     def add(
         self,
@@ -37,32 +36,3 @@ class TrafficMeter:
             self.by_category[category] = (
                 self.by_category.get(category, 0) + wire_bytes
             )
-
-    def mark(self, name: str) -> None:
-        """Remember the current counters under *name* (for deltas)."""
-        self._marks[name] = (self.pages_sent, self.payload_bytes, self.wire_bytes)
-
-    def since(self, name: str) -> tuple[int, int, int]:
-        """(pages, payload, wire) accumulated since :meth:`mark` *name*.
-
-        Raises :class:`KeyError` for a mark that was never set or did
-        not survive :meth:`reset` — silently returning the absolute
-        counters here once masked stale-mark bugs as plausible deltas.
-        """
-        if name not in self._marks:
-            raise KeyError(
-                f"traffic mark {name!r} was never set (or was cleared by reset())"
-            )
-        base = self._marks[name]
-        return (
-            self.pages_sent - base[0],
-            self.payload_bytes - base[1],
-            self.wire_bytes - base[2],
-        )
-
-    def reset(self) -> None:
-        self.pages_sent = 0
-        self.payload_bytes = 0
-        self.wire_bytes = 0
-        self.by_category.clear()
-        self._marks.clear()

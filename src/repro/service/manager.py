@@ -129,7 +129,8 @@ class MigrationManager:
             self.sessions[session.id] = session
             if session._admin.state in ACTIVE_STATES:
                 session.recover()
-                resumed.append(session.id)
+                if session._admin.state in ACTIVE_STATES:
+                    resumed.append(session.id)
             # keep fresh ids clear of recovered ones (s0001-…)
             try:
                 self._counter = max(self._counter, int(name.split("-", 1)[0][1:]))

@@ -245,6 +245,14 @@ class ServiceDaemon:
                     key.fileobj.close()
                 self._selector.close()
                 os.unlink(self.socket_path)
+                # A later write reopens a sink where it stopped, so a
+                # manager that keeps running loses nothing.
+                for session in self.manager.active:
+                    if session.driver is None:
+                        continue
+                    sink = session.driver.vm.probe.sink
+                    if sink is not None:
+                        sink.close()
 
 
 def serve(

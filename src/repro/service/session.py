@@ -32,7 +32,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, CheckpointSchemaError, ConfigurationError
 from repro.units import MiB
 
 # -- lifecycle states -------------------------------------------------------------------
@@ -501,6 +501,9 @@ class MigrationSession:
         (config-hash checked); without any — the daemon died before the
         first cadence write — the session rebuilds from its config,
         which is deterministic and therefore lands in the same place.
+        A damaged newest archive fails this session alone; a schema or
+        config mismatch is raised, since it says the build or the
+        session's config is wrong, not its data.
         """
         if self._admin.state not in ACTIVE_STATES:
             return
@@ -511,7 +514,13 @@ class MigrationSession:
         ):
             from repro.checkpoint import resume
 
-            restored = resume(ckpt_dir, expect_config=self.config.fingerprint())
+            try:
+                restored = resume(ckpt_dir, expect_config=self.config.fingerprint())
+            except CheckpointSchemaError:
+                raise
+            except CheckpointError as exc:
+                self._fail(exc)
+                return
         if restored is None:
             self.driver = self.config.build_driver(sink=self._make_sink())
         else:

@@ -163,16 +163,6 @@ class ConvergenceMonitor:
     def history(self) -> list[Diagnosis]:
         return list(self._history)
 
-    def state_changes(self) -> list[tuple[int, ConvergenceState]]:
-        """(observation index, new state) each time the verdict flipped."""
-        changes: list[tuple[int, ConvergenceState]] = []
-        last: ConvergenceState | None = None
-        for i, diag in enumerate(self._history):
-            if diag.state is not last:
-                changes.append((i, diag.state))
-                last = diag.state
-        return changes
-
     @classmethod
     def replay(
         cls,

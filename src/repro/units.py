@@ -51,11 +51,6 @@ def fmt_bytes(n: float) -> str:
     raise AssertionError("unreachable")
 
 
-def fmt_rate(bytes_per_s: float) -> str:
-    """Render a throughput, e.g. ``117.74 MiB/s``."""
-    return f"{fmt_bytes(bytes_per_s)}/s"
-
-
 def fmt_seconds(t: float) -> str:
     """Render a duration in seconds with millisecond precision."""
     return f"{t:.3f} s"

@@ -92,9 +92,6 @@ class DirtyLog:
         """Dirty PFNs without clearing (PEEK op)."""
         return self._bitmap.set_pfns_array()
 
-    def is_dirty(self, pfn: int) -> bool:
-        return self._bitmap.test(pfn)
-
     def dirty_mask(self, pfns: np.ndarray) -> np.ndarray:
         """Boolean per-PFN dirty state for *pfns*."""
         return self._bitmap.test_pfns(pfns)

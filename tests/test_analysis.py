@@ -229,19 +229,6 @@ def test_replay_matches_online_observation_for_observation():
     assert online.diagnosis.summary() == replayed.diagnosis.summary()
 
 
-def test_state_changes_records_flips_once():
-    mon = ConvergenceMonitor()
-    feed(mon, [
-        (1.0, 0.1 * BW, BW, 100_000),
-        (2.0, 0.1 * BW, BW, 10_000),
-        (3.0, 0.1 * BW, BW, 1_000),
-    ])
-    changes = mon.state_changes()
-    assert [state for _, state in changes] == [
-        ConvergenceState.UNKNOWN, ConvergenceState.CONVERGING,
-    ]
-
-
 def test_window_requires_two_iterations():
     with pytest.raises(ValueError):
         ConvergenceMonitor(window=1)

@@ -1,5 +1,6 @@
 """Keep the documentation honest: docs reference what actually exists."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -60,6 +61,49 @@ def test_every_experiment_module_registered_in_cli():
         if p.stem not in ("__init__", "common", "stats")
     }
     assert modules == set(ALL_EXPERIMENTS)
+
+
+def _imported_modules(name: str, path: Path, is_package: bool) -> set[str]:
+    """Modules the source of module *name* imports, relative imports
+    resolved, each with its parent packages (importing ``a.b`` imports
+    ``a``).  ``from a import b`` counts ``a.b`` too: *b* may be a module."""
+    package = name.split(".") if is_package else name.split(".")[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package[: len(package) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    found.discard(name)
+    closed = set()
+    for module in found:
+        parts = module.split(".")
+        closed.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return closed
+
+
+def test_every_src_module_is_reached_from_src():
+    """A module that only tests import is dead code: every module under
+    ``src/repro`` is imported by another one, is the CLI, or is an
+    experiment the CLI registers."""
+    from repro.experiments import ALL_EXPERIMENTS
+
+    src = ROOT / "src"
+    imported = set()
+    modules = set()
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        is_package = parts[-1] == "__init__"
+        name = ".".join(parts[:-1] if is_package else parts)
+        modules.add(name)
+        imported |= _imported_modules(name, path, is_package)
+    entry_points = {"repro.cli"} | {m.__name__ for m in ALL_EXPERIMENTS.values()}
+    assert sorted(modules - imported - entry_points) == []
 
 
 def test_readme_example_count_matches_directory():

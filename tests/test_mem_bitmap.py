@@ -36,8 +36,6 @@ def test_range_ops():
     bm = PageBitmap(100)
     bm.set_range(10, 20)
     assert bm.count() == 10
-    bm.clear_range(12, 15)
-    assert bm.count() == 7
     bm.set_all()
     assert bm.count() == 100
     bm.clear_all()
@@ -58,19 +56,6 @@ def test_snapshot_and_clear_is_atomic_peek():
     assert list(got) == [3, 7]
     assert bm.count() == 0
     assert list(bm.snapshot_and_clear()) == []
-
-
-def test_and_with_requires_same_shape():
-    a, b = PageBitmap(8), PageBitmap(16)
-    with pytest.raises(ConfigurationError):
-        a.and_with(b)
-
-
-def test_and_with_intersects():
-    a, b = PageBitmap(16), PageBitmap(16)
-    a.set_pfns(np.array([1, 2, 3]))
-    b.set_pfns(np.array([2, 3, 4]))
-    assert list(a.and_with(b)) == [2, 3]
 
 
 def test_copy_is_independent():

@@ -47,13 +47,6 @@ def test_unaligned_range_uses_inner_pages():
     assert list(cache.take_range(r)) == [2]
 
 
-def test_record_pairs():
-    cache = PfnCache()
-    cache.record_pairs(np.array([5, 9]), np.array([50, 90]))
-    assert list(cache.take_range(_r(9, 10))) == [90]
-    assert list(cache.cached_vpns()) == [5]
-
-
 def test_overwrite_updates_mapping():
     cache = PfnCache()
     cache.record(3, np.array([30]))

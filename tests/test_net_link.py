@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mem.constants import PAGE_SIZE
 from repro.net.link import Link
-from repro.net.meter import TrafficMeter
 from repro.units import MiB, gbit_per_s
 
 
@@ -17,12 +16,6 @@ def test_default_is_gigabit_with_efficiency():
 def test_page_wire_cost_includes_overhead():
     link = Link(page_overhead_bytes=150)
     assert link.page_wire_bytes == PAGE_SIZE + 150
-
-
-def test_pages_per_second_sane_for_gigabit():
-    link = Link()
-    # ~117 MB/s usable over 4246-byte wire pages → ~28k pages/s.
-    assert 25_000 < link.pages_per_second < 30_000
 
 
 def test_capacity_scales_with_dt():
@@ -51,13 +44,6 @@ def test_account_pages_compressed_payload():
     assert wire == PAGE_SIZE + 200
 
 
-def test_account_control_bytes():
-    link = Link()
-    link.account_control(500)
-    assert link.meter.wire_bytes == 500
-    assert link.meter.pages_sent == 0
-
-
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigurationError):
         Link(bandwidth_bytes_per_s=0)
@@ -65,43 +51,6 @@ def test_invalid_configs_rejected():
         Link(efficiency=0.0)
     with pytest.raises(ConfigurationError):
         Link(efficiency=1.5)
-
-
-def test_meter_marks_and_deltas():
-    meter = TrafficMeter()
-    meter.add(pages=2, payload_bytes=100, wire_bytes=120)
-    meter.mark("iter1")
-    meter.add(pages=3, payload_bytes=200, wire_bytes=230)
-    assert meter.since("iter1") == (3, 200, 230)
-
-
-def test_meter_unknown_mark_raises():
-    meter = TrafficMeter()
-    meter.add(pages=2, payload_bytes=100, wire_bytes=120)
-    with pytest.raises(KeyError):
-        meter.since("never-marked")
-
-
-def test_meter_reset():
-    meter = TrafficMeter()
-    meter.add(1, 10, 12)
-    meter.mark("m")
-    meter.reset()
-    assert meter.pages_sent == 0
-
-
-def test_meter_stale_mark_after_reset_raises():
-    """reset() clears the marks: a delta against a pre-reset mark would
-    mix two accounting epochs, so it must raise, not return zeros."""
-    meter = TrafficMeter()
-    meter.add(1, 10, 12)
-    meter.mark("m")
-    meter.reset()
-    with pytest.raises(KeyError):
-        meter.since("m")
-    meter.mark("m")  # re-marking after reset is fine
-    meter.add(2, 20, 24)
-    assert meter.since("m") == (2, 20, 24)
 
 
 def test_reconfigure_during_sever_is_deferred_to_restore():
@@ -151,7 +100,6 @@ def test_net_counters_follow_the_probe_and_its_categories():
     link.probe = first
     link.account_pages(2, category="first_copy")
     link.account_pages(1, category="redirty")
-    link.account_control(100)
     link.probe = second
     link.account_pages(3, category="first_copy")
     snap = first.metrics.snapshot()
@@ -162,9 +110,7 @@ def test_net_counters_follow_the_probe_and_its_categories():
         ("net.category_wire_bytes", {"category": "first_copy"}),
         ("net.retransmit_wire_bytes", {}),
         ("net.category_wire_bytes", {"category": "redirty"}),
-        ("net.control_bytes", {}),
-        ("net.category_wire_bytes", {"category": "control"}),
     ]
     assert snap.value("net.pages") == 3
-    assert snap.value("net.wire_bytes") == 3 * link.page_wire_bytes + 100
+    assert snap.value("net.wire_bytes") == 3 * link.page_wire_bytes
     assert second.metrics.snapshot().value("net.pages") == 3

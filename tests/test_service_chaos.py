@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -24,12 +25,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.checkpoint import list_checkpoints
 from repro.service import (
     MigrationManager,
     ServiceClient,
     SessionConfig,
     run_standalone,
 )
+from repro.service.session import FAILED
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -215,3 +218,65 @@ def test_sigkill_survives_a_second_kill_during_resume(tmp_path):
         except Exception:
             third.kill()
             third.wait(timeout=10)
+
+
+def _damage(archive: Path, how: str) -> None:
+    state, manifest = archive / "state.pkl", archive / "manifest.json"
+    if how == "flip":
+        blob = bytearray(state.read_bytes())
+        blob[100] ^= 0xFF
+        state.write_bytes(bytes(blob))
+    elif how == "truncate":
+        state.write_bytes(state.read_bytes()[: state.stat().st_size // 2])
+    elif how == "delete":
+        state.unlink()
+    else:
+        manifest.write_bytes(manifest.read_bytes()[:40])
+
+
+@pytest.fixture(scope="module")
+def crashed_pair(tmp_path_factory):
+    """A service root abandoned with two sessions mid-flight, each past
+    two cadence checkpoints, plus their standalone payloads."""
+    root = str(tmp_path_factory.mktemp("torn") / "svc")
+    manager = MigrationManager(
+        root_dir=root, max_active=2, slice_s=0.25,
+        checkpoint_every_s=1.0, checkpoint_overhead=None,
+    )
+    ids = [manager.submit(cfg) for cfg in CONFIGS[:2]]
+    manager.step_round()
+    while manager.session(ids[0]).driver.engine.now < 3.0:
+        manager.step_round()
+    del manager
+    return root, ids, [run_standalone(cfg) for cfg in CONFIGS[:2]]
+
+
+@pytest.mark.parametrize("how", ["flip", "truncate", "delete", "manifest"])
+def test_a_torn_archive_fails_only_its_own_session(tmp_path, crashed_pair, how):
+    """Damage the newest archive of one of two sessions: a bad
+    ``state.pkl`` fails that session with a typed error naming the file,
+    a torn manifest hides the archive so the previous one resumes, and
+    the other session resumes untouched either way."""
+    template, (torn_id, other_id), (torn_want, other_want) = crashed_pair
+    root = str(tmp_path / "svc")
+    shutil.copytree(template, root)
+    archives = list_checkpoints(os.path.join(root, "sessions", torn_id, "ckpts"))
+    assert len(archives) == 2
+    _damage(archives[-1].path, how)
+
+    reborn = MigrationManager(
+        root_dir=root, max_active=2, slice_s=0.25,
+        checkpoint_every_s=1.0, checkpoint_overhead=None,
+    )
+    resumed = reborn.recover()
+    reborn.drain()
+    torn = reborn.session(torn_id)
+    if how == "manifest":
+        assert resumed == [torn_id, other_id]
+        assert torn.result_payload == torn_want
+    else:
+        assert resumed == [other_id]
+        assert torn.state == FAILED
+        assert torn.result_payload["error"].startswith("CheckpointError: ")
+        assert "state.pkl" in torn.result_payload["error"]
+    assert reborn.session(other_id).result_payload == other_want

@@ -184,3 +184,45 @@ def test_a_status_sent_mid_slice_is_answered_after_one_engine_advance(
         ping = client.request("ping")
         assert ping["slices"] >= 3 and ping["slices_cut"] >= 1
         client.request("abort", id=sid)  # ends the session and its stream
+
+
+def test_a_session_running_at_shutdown_has_its_sink_closed(tmp_path, monkeypatch):
+    """A ``shutdown`` sent from inside a session's eighth slice stops
+    the daemon with that session still running: its telemetry sink is
+    closed, not left to garbage collection, and a new manager recovers
+    the session and finishes it with the standalone payload."""
+    root = str(tmp_path / "svc")
+    slices = itertools.count(1)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    step_slice = MigrationSession.step_slice
+
+    def shutting_step_slice(session, slice_s):
+        if next(slices) == 8:
+            sock.connect(protocol.read_addr(root))
+            sock.sendall(protocol.encode({"op": "shutdown"}))
+        return step_slice(session, slice_s)
+
+    monkeypatch.setattr(MigrationSession, "step_slice", shutting_step_slice)
+    config = SessionConfig(**SMALL)
+    manager = MigrationManager(
+        root_dir=root, slice_s=0.25, checkpoint_every_s=1.0, checkpoint_overhead=None,
+    )
+    sid = manager.submit(config)
+    thread = threading.Thread(target=ServiceDaemon(manager).serve, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the daemon did not stop"
+    with sock, sock.makefile("rb") as stream:
+        assert protocol.decode(stream.readline())["ok"]
+    session = manager.session(sid)
+    assert session.state == "running"
+    sink = session.driver.vm.probe.sink
+    assert sink.bytes_written > 0 and sink._fh is None
+
+    monkeypatch.undo()
+    reborn = MigrationManager(
+        root_dir=root, slice_s=0.25, checkpoint_every_s=1.0, checkpoint_overhead=None,
+    )
+    assert reborn.recover() == [sid]
+    reborn.drain()
+    assert reborn.session(sid).result_payload == run_standalone(config)

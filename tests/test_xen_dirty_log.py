@@ -50,12 +50,10 @@ def test_mid_iteration_dirtying_surfaces_next_snapshot():
     assert list(second) == [2]
 
 
-def test_dirty_mask_and_is_dirty():
+def test_dirty_mask():
     log = DirtyLog(16)
     log.enable()
     log.mark(np.array([4]))
-    assert log.is_dirty(4)
-    assert not log.is_dirty(5)
     assert list(log.dirty_mask(np.array([3, 4, 5]))) == [False, True, False]
 
 
